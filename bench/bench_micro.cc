@@ -14,6 +14,7 @@
 #include "mining/category_function.h"
 #include "mining/prefixspan.h"
 #include "tkg/split.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace anot {
@@ -120,15 +121,22 @@ void BM_PrefixSpan(benchmark::State& state) {
 }
 BENCHMARK(BM_PrefixSpan);
 
+// Category-function construction on a 1- and a 2-worker pool. Rows time
+// wall-clock (UseRealTime), since the shards run off the main thread.
 void BM_CategoryFunctionBuild(benchmark::State& state) {
   const auto& g = SharedGraph();
   CategoryFunctionOptions opts;
+  ThreadPool pool(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto fn = CategoryFunction::Build(g, opts);
+    auto fn = CategoryFunction::Build(g, opts, &pool);
     benchmark::DoNotOptimize(fn.num_categories());
   }
 }
-BENCHMARK(BM_CategoryFunctionBuild);
+BENCHMARK(BM_CategoryFunctionBuild)
+    ->Arg(1)
+    ->Arg(2)
+    ->ArgName("threads")
+    ->UseRealTime();
 
 void BM_MdlNegativeErrorBits(benchmark::State& state) {
   double acc = 0;

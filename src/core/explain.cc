@@ -100,8 +100,7 @@ std::vector<std::string> Explainer::ConceptualPrompts(
 }
 
 std::vector<std::string> Explainer::TimePrompts(
-    const Fact& fact, const Evidence& evidence) const {
-  (void)fact;
+    const Evidence& evidence) const {
   std::vector<std::string> prompts;
   for (const auto& p : evidence.precursors) {
     if (!p.instantiated || p.depth != 0) continue;

@@ -41,8 +41,7 @@ class Explainer {
   /// Correcting prompts for a time error: in-edges say after what the
   /// knowledge should occur (and with what typical timespans); violated
   /// out-edges say what it must precede.
-  std::vector<std::string> TimePrompts(const Fact& fact,
-                                       const Evidence& evidence) const;
+  std::vector<std::string> TimePrompts(const Evidence& evidence) const;
 
   /// Missing-knowledge prompts: precursors that failed to instantiate
   /// point at knowledge worth (re-)extracting.

@@ -19,13 +19,11 @@ Updater::Updater(TemporalKnowledgeGraph* graph, CategoryFunction* categories,
   ANOT_CHECK(graph_ && categories_ && rules_);
 }
 
-bool Updater::ShouldAdmitRule(const AtomicRule& rule,
-                              uint32_t online_support) const {
+bool Updater::ShouldAdmitRule(uint32_t online_support) const {
   if (online_support < options_.new_rule_min_support) return false;
   // Marginal MDL test: the tier-1 savings of the supporting facts must
   // exceed a conservative estimate of the rule's model cost
   // (log2 |C_E| + 2 log2 |E| + log2 |R| + 1 ≈ AtomicRuleBits upper bound).
-  (void)rule;
   const double e = std::max<double>(2.0, graph_->num_entities());
   const double r = std::max<double>(2.0, graph_->num_relations());
   const double per_fact_savings = std::log2(e * e * r);
@@ -123,7 +121,7 @@ UpdateEffects Updater::Ingest(const Fact& fact) {
         continue;
       }
       const uint32_t support = TouchPendingRule(rule);
-      if (!ShouldAdmitRule(rule, support)) continue;
+      if (!ShouldAdmitRule(support)) continue;
       ErasePendingRule(rule);
       const RuleId added = rules_->AddRule(rule, /*static_selected=*/true);
       rules_->SetSupport(added, support);

@@ -70,7 +70,7 @@ class Updater {
   friend class Checkpoint;
 
   /// Marginal MDL admission test for a recurring unseen pattern.
-  bool ShouldAdmitRule(const AtomicRule& rule, uint32_t online_support) const;
+  bool ShouldAdmitRule(uint32_t online_support) const;
 
   /// Bumps (or opens) the pending-support entry for `rule` and returns the
   /// new support count, evicting the least-recently-touched entry when the

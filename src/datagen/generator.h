@@ -16,8 +16,9 @@ namespace anot {
 /// The generator plants exactly the structures AnoT exploits — latent
 /// entity categories, relation schemas over categories, chain-occurring
 /// rules with characteristic timespans, and triadic-closure rules — plus a
-/// controllable fraction of schema-free noise facts. See DESIGN.md §3 for
-/// why this substitution preserves the paper's experimental behaviour.
+/// controllable fraction of schema-free noise facts. README "Synthetic
+/// presets and documented deviations" explains why this substitution
+/// preserves the paper's experimental behaviour.
 struct GeneratorConfig {
   std::string name = "synthetic";
   uint64_t seed = 42;

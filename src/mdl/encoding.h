@@ -10,7 +10,8 @@ namespace anot {
 
 /// \brief MDL cost terms for rule-graph model selection (paper §4.2).
 ///
-/// Implementation notes (documented deviations in DESIGN.md §3):
+/// Implementation notes (README "Synthetic presets and documented
+/// deviations"):
 ///  * Code-length denominators are fixed to quantities of the *data* (G)
 ///    or the candidate universe rather than the evolving model, keeping
 ///    every candidate's model cost a precomputable constant so the greedy

@@ -1,0 +1,41 @@
+#pragma once
+
+// Internal to src/mining: one aggregation round of CategoryFunction::Build
+// (paper §4.3.1), exposed so tests can pin it against the pairwise scan.
+
+#include <cstdint>
+#include <set>
+#include <vector>
+
+#include "mining/category_function.h"
+
+namespace anot {
+namespace internal {
+
+/// A relation-token combination and the entities exhibiting it.
+struct ComboCandidate {
+  std::vector<uint32_t> tokens;   // ascending
+  std::vector<uint32_t> members;  // ascending
+};
+
+/// Deterministic dedup key for a token set.
+uint64_t TokenSetKey(const std::vector<uint32_t>& tokens);
+
+/// One entity-/relation-based aggregation round over the frozen `combos`.
+///
+/// For every pair i < j, in ascending (i, j) order: when the member sets
+/// overlap by more than `aggregation_overlap` of the smaller one, the pair
+/// proposes (tokens_i ∪ tokens_j, members_i ∩ members_j) if that keeps at
+/// least `min_support` members, and the relation test is skipped;
+/// otherwise, when the token sets overlap by more than the same fraction,
+/// it proposes (tokens_i ∩ tokens_j, members_i ∪ members_j) if the token
+/// intersection is non-empty. A proposal is admitted when its TokenSetKey
+/// is not yet in `*seen`, and its key is inserted. Returns the admitted
+/// combinations in scan order; the result is identical for every pool
+/// size including nullptr.
+std::vector<ComboCandidate> AggregateRound(
+    const std::vector<ComboCandidate>& combos, std::set<uint64_t>* seen,
+    const CategoryFunctionOptions& options, ThreadPool* workers);
+
+}  // namespace internal
+}  // namespace anot

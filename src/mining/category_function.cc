@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "mining/category_aggregation.h"
 #include "mining/prefixspan.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -11,56 +12,11 @@ namespace anot {
 
 namespace {
 
+using internal::AggregateRound;
+using internal::ComboCandidate;
+using internal::TokenSetKey;
+
 const std::vector<CategoryId> kNoCategories;
-
-/// |a ∩ b| for ascending vectors.
-size_t IntersectionSize(const std::vector<uint32_t>& a,
-                        const std::vector<uint32_t>& b) {
-  size_t i = 0, j = 0, n = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++n;
-      ++i;
-      ++j;
-    }
-  }
-  return n;
-}
-
-std::vector<uint32_t> Union(const std::vector<uint32_t>& a,
-                            const std::vector<uint32_t>& b) {
-  std::vector<uint32_t> out;
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
-std::vector<uint32_t> Intersection(const std::vector<uint32_t>& a,
-                                   const std::vector<uint32_t>& b) {
-  std::vector<uint32_t> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
-struct ComboCandidate {
-  std::vector<uint32_t> tokens;
-  std::vector<uint32_t> members;
-};
-
-/// Deterministic dedup key for a token set.
-uint64_t TokenSetKey(const std::vector<uint32_t>& tokens) {
-  uint64_t h = 1469598103934665603ull;
-  for (uint32_t t : tokens) {
-    h ^= t + 0x9E3779B9u;
-    h *= 1099511628211ull;
-  }
-  return h ^ tokens.size();
-}
 
 }  // namespace
 
@@ -104,7 +60,9 @@ CategoryFunction CategoryFunction::Build(
   }
 
   // 3. Aggregation passes (paper §4.3.1). Only the widest-coverage
-  // combinations participate: pairwise comparison is quadratic.
+  // combinations seed aggregation: every round compares each pair of
+  // combinations (by exact overlap counts, see AggregateRound), and each
+  // round's output joins the next round's input.
   std::sort(combos.begin(), combos.end(),
             [](const ComboCandidate& a, const ComboCandidate& b) {
               if (a.members.size() != b.members.size()) {
@@ -118,85 +76,10 @@ CategoryFunction CategoryFunction::Build(
 
   std::set<uint64_t> seen;
   for (const auto& c : combos) seen.insert(TokenSetKey(c.tokens));
-
-  // Each round shards the quadratic pairwise scan over the outer index.
-  // Shards only *read* the frozen combo list and `seen` set and record
-  // their qualifying merge proposals in (i, j) scan order; the `seen`
-  // insertion — the one piece of state the sequential loop mutates
-  // mid-scan — is replayed at merge time in shard order, which equals the
-  // sequential scan order because shards are contiguous i-ranges. Keys
-  // already in the pre-round `seen`, or repeated within one shard, can
-  // never survive the replay, so shards filter them out up front (keeps
-  // the proposal buffers at the sequential loop's O(unique keys) instead
-  // of O(qualifying pairs)). The surviving `added` list is bit-identical
-  // for every worker count.
   for (size_t round = 0;
        round < options.max_aggregation_rounds && !cancelled(); ++round) {
-    const size_t n = combos.size();
-    const size_t num_shards = DeterministicShardCount(n);
-    std::vector<std::vector<std::pair<uint64_t, ComboCandidate>>> proposals(
-        num_shards);
-    ParallelForShards(workers, n, num_shards,
-                      [&](size_t shard_idx, size_t begin, size_t end) {
-      auto& local = proposals[shard_idx];
-      std::set<uint64_t> local_seen;
-      auto fresh = [&](uint64_t key) {
-        return seen.count(key) == 0 && local_seen.insert(key).second;
-      };
-      for (size_t i = begin; i < end; ++i) {
-        for (size_t j = i + 1; j < n; ++j) {
-          const auto& ci = combos[i];
-          const auto& cj = combos[j];
-          // Entity-based aggregation: members overlap > 90% => the union
-          // of relations describes a finer shared category.
-          const size_t member_overlap =
-              IntersectionSize(ci.members, cj.members);
-          const size_t member_min =
-              std::min(ci.members.size(), cj.members.size());
-          if (member_min > 0 &&
-              static_cast<double>(member_overlap) /
-                      static_cast<double>(member_min) >
-                  options.aggregation_overlap) {
-            ComboCandidate merged;
-            merged.tokens = Union(ci.tokens, cj.tokens);
-            merged.members = Intersection(ci.members, cj.members);
-            if (!merged.members.empty() &&
-                merged.members.size() >= options.min_support) {
-              const uint64_t key = TokenSetKey(merged.tokens);
-              if (fresh(key)) local.emplace_back(key, std::move(merged));
-            }
-            continue;
-          }
-          // Relation-based aggregation: relation sets overlap > 90% => a
-          // more general category over the member union.
-          const size_t token_overlap =
-              IntersectionSize(ci.tokens, cj.tokens);
-          const size_t token_min =
-              std::min(ci.tokens.size(), cj.tokens.size());
-          if (token_min > 0 &&
-              static_cast<double>(token_overlap) /
-                      static_cast<double>(token_min) >
-                  options.aggregation_overlap) {
-            ComboCandidate merged;
-            merged.tokens = Intersection(ci.tokens, cj.tokens);
-            if (merged.tokens.empty()) continue;
-            merged.members = Union(ci.members, cj.members);
-            const uint64_t key = TokenSetKey(merged.tokens);
-            if (fresh(key)) local.emplace_back(key, std::move(merged));
-          }
-        }
-      }
-    });
-    std::vector<ComboCandidate> added;
-    // Audited for determinism: `proposals` is a vector of per-shard
-    // vectors replayed here in fixed shard order, and each shard appended
-    // its candidates in deterministic pair-scan order — so first-wins
-    // dedup via `seen` admits the same candidates for every thread count.
-    for (auto& local : proposals) {
-      for (auto& [key, candidate] : local) {
-        if (seen.insert(key).second) added.push_back(std::move(candidate));
-      }
-    }
+    std::vector<ComboCandidate> added =
+        AggregateRound(combos, &seen, options, workers);
     if (added.empty()) break;
     for (auto& c : added) combos.push_back(std::move(c));
     if (combos.size() > 4 * options.max_aggregation_candidates) break;

@@ -25,8 +25,10 @@ struct CategoryFunctionOptions {
   double aggregation_overlap = 0.9;
   /// Fixpoint-loop cap for the aggregation passes.
   size_t max_aggregation_rounds = 4;
-  /// Only the top combinations by coverage participate in aggregation
-  /// (pairwise comparison is quadratic).
+  /// Only the top combinations by coverage seed aggregation. Each round
+  /// compares every pair of combinations through exact overlap counts on
+  /// an inverted index, so its cost grows with the combinations' shared
+  /// members; this cap (and the 4x stop on the grown list) bounds it.
   size_t max_aggregation_candidates = 800;
   /// Safety cap on the total number of categories kept.
   size_t max_categories = 50000;
@@ -48,7 +50,7 @@ struct CategoryFunctionOptions {
 class CategoryFunction {
  public:
   /// Builds C(·) from the offline-preserved part of the TKG. With a worker
-  /// pool the token pass and the pairwise aggregation rounds run sharded
+  /// pool the token pass and the aggregation rounds run sharded
   /// (deterministic shard boundaries, merges replayed in scan order), so
   /// the result is bit-identical for every pool size including nullptr —
   /// the same contract as the candidate-generation pipeline.

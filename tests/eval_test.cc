@@ -256,7 +256,8 @@ TEST(ProtocolTest, AnoTEndToEndProducesSaneMetrics) {
   // Missing detection should beat the 50% base rate of its candidate set.
   EXPECT_GT(result.missing.pr_auc, 0.6);
   // Time detection beats its ~0.176 base rate (time errors on recurrent
-  // facts are intrinsically hard; see DESIGN.md).
+  // facts are intrinsically hard; see README "Synthetic presets and
+  // documented deviations").
   EXPECT_GT(result.time.pr_auc, 0.18);
   EXPECT_GT(result.throughput, 100.0);
   EXPECT_GT(result.fit_seconds, 0.0);

@@ -4,8 +4,10 @@
 #include <set>
 
 #include "datagen/generator.h"
+#include "mining/category_aggregation.h"
 #include "mining/category_function.h"
 #include "mining/prefixspan.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace anot {
@@ -287,6 +289,193 @@ TEST(CategoryFunctionTest, BuildIdenticalAcrossWorkerCounts) {
           << "entity " << e << " @ " << threads << " workers";
     }
   }
+}
+
+// ------------------------------------------------------- Aggregation round
+
+using internal::AggregateRound;
+using internal::ComboCandidate;
+using internal::TokenSetKey;
+
+std::vector<uint32_t> UnionOf(const std::vector<uint32_t>& a,
+                              const std::vector<uint32_t>& b) {
+  std::vector<uint32_t> out;
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                 std::back_inserter(out));
+  return out;
+}
+
+std::vector<uint32_t> IntersectionOf(const std::vector<uint32_t>& a,
+                                     const std::vector<uint32_t>& b) {
+  std::vector<uint32_t> out;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(out));
+  return out;
+}
+
+/// Brute-force reference: the serial pairwise scan that AggregateRound
+/// replaced, one merge per pair and the `seen` insertion inline.
+std::vector<ComboCandidate> PairwiseAggregateRound(
+    const std::vector<ComboCandidate>& combos, std::set<uint64_t>* seen,
+    const CategoryFunctionOptions& options) {
+  std::vector<ComboCandidate> added;
+  const size_t n = combos.size();
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      const auto& ci = combos[i];
+      const auto& cj = combos[j];
+      const size_t member_overlap =
+          IntersectionOf(ci.members, cj.members).size();
+      const size_t member_min = std::min(ci.members.size(), cj.members.size());
+      if (member_min > 0 &&
+          static_cast<double>(member_overlap) /
+                  static_cast<double>(member_min) >
+              options.aggregation_overlap) {
+        ComboCandidate merged;
+        merged.tokens = UnionOf(ci.tokens, cj.tokens);
+        merged.members = IntersectionOf(ci.members, cj.members);
+        if (!merged.members.empty() &&
+            merged.members.size() >= options.min_support &&
+            seen->insert(TokenSetKey(merged.tokens)).second) {
+          added.push_back(std::move(merged));
+        }
+        continue;
+      }
+      const size_t token_overlap =
+          IntersectionOf(ci.tokens, cj.tokens).size();
+      const size_t token_min = std::min(ci.tokens.size(), cj.tokens.size());
+      if (token_min > 0 &&
+          static_cast<double>(token_overlap) /
+                  static_cast<double>(token_min) >
+              options.aggregation_overlap) {
+        ComboCandidate merged;
+        merged.tokens = IntersectionOf(ci.tokens, cj.tokens);
+        if (merged.tokens.empty()) continue;
+        merged.members = UnionOf(ci.members, cj.members);
+        if (seen->insert(TokenSetKey(merged.tokens)).second) {
+          added.push_back(std::move(merged));
+        }
+      }
+    }
+  }
+  return added;
+}
+
+std::vector<uint32_t> RandomSet(Rng* rng, size_t universe, size_t size) {
+  std::vector<uint32_t> out;
+  for (size_t x : rng->SampleWithoutReplacement(universe, size)) {
+    out.push_back(static_cast<uint32_t>(x));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Returns `base` with one element swapped for one outside it: same size,
+/// overlap |base| - 1 (9 of 10 sits exactly at t = 0.9 and must not
+/// qualify, since the test is a strict >).
+std::vector<uint32_t> SwapOne(Rng* rng, const std::vector<uint32_t>& base,
+                              size_t universe) {
+  std::vector<uint32_t> out = base;
+  uint32_t fresh;
+  do {
+    fresh = static_cast<uint32_t>(rng->Uniform(universe));
+  } while (std::binary_search(base.begin(), base.end(), fresh));
+  out[rng->Uniform(out.size())] = fresh;
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// A seeded combo list over 520 combinations (three shards): random
+/// member/token sets over small universes so many pairs overlap, plus
+/// planted equal-size pairs overlapping exactly 9 of 10 and fully, on
+/// both the member and the token side. Lists may repeat a token set.
+std::vector<ComboCandidate> RandomCombos(uint64_t seed) {
+  constexpr size_t kEntities = 70;
+  constexpr size_t kTokens = 24;
+  Rng rng(seed);
+  std::vector<ComboCandidate> combos;
+  for (int p = 0; p < 40; ++p) {
+    ComboCandidate base{RandomSet(&rng, kTokens, 1 + rng.Uniform(3)),
+                        RandomSet(&rng, kEntities, 10)};
+    combos.push_back({RandomSet(&rng, kTokens, 1 + rng.Uniform(3)),
+                      SwapOne(&rng, base.members, kEntities)});
+    combos.push_back({RandomSet(&rng, kTokens, 2), base.members});
+    ComboCandidate wide{RandomSet(&rng, kTokens, 10),
+                        RandomSet(&rng, kEntities, 1 + rng.Uniform(12))};
+    combos.push_back({SwapOne(&rng, wide.tokens, kTokens),
+                      RandomSet(&rng, kEntities, 1 + rng.Uniform(12))});
+    combos.push_back({wide.tokens, RandomSet(&rng, kEntities, 5)});
+    combos.push_back(std::move(base));
+    combos.push_back(std::move(wide));
+  }
+  while (combos.size() < 520) {
+    combos.push_back({RandomSet(&rng, kTokens, 1 + rng.Uniform(4)),
+                      RandomSet(&rng, kEntities, 1 + rng.Uniform(20))});
+  }
+  rng.Shuffle(&combos);
+  return combos;
+}
+
+bool SameCombos(const std::vector<ComboCandidate>& a,
+                const std::vector<ComboCandidate>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].tokens != b[i].tokens || a[i].members != b[i].members) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(AggregateRoundTest, MatchesPairwiseScan) {
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
+  for (uint64_t seed : {1u, 2u}) {
+    const std::vector<ComboCandidate> combos = RandomCombos(seed);
+    std::set<uint64_t> initial;
+    for (const auto& c : combos) initial.insert(TokenSetKey(c.tokens));
+    for (double t : {0.5, 0.9, 1.0, -0.1}) {
+      for (size_t min_support : {1u, 3u}) {
+        CategoryFunctionOptions opts;
+        opts.aggregation_overlap = t;
+        opts.min_support = min_support;
+        std::set<uint64_t> want_seen = initial;
+        const auto want = PairwiseAggregateRound(combos, &want_seen, opts);
+        for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr),
+                                    &pool2, &pool8}) {
+          std::set<uint64_t> got_seen = initial;
+          const auto got = AggregateRound(combos, &got_seen, opts, workers);
+          const size_t threads =
+              workers == nullptr ? 0 : workers->num_threads();
+          EXPECT_TRUE(SameCombos(want, got))
+              << "seed " << seed << " t " << t << " min_support "
+              << min_support << " workers " << threads << ": "
+              << want.size() << " vs " << got.size() << " proposals";
+          EXPECT_EQ(want_seen, got_seen)
+              << "seed " << seed << " t " << t << " workers " << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(AggregateRoundTest, OverlapAtThresholdDoesNotQualify) {
+  // Equal-size member sets sharing 9 of 10 sit exactly at t = 0.9; the
+  // strict test rejects the member merge, and disjoint token sets leave
+  // nothing for the relation path either.
+  const std::vector<ComboCandidate> combos{
+      {{1}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+      {{2}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 10}},
+  };
+  CategoryFunctionOptions opts;
+  opts.aggregation_overlap = 0.9;
+  std::set<uint64_t> seen;
+  EXPECT_TRUE(AggregateRound(combos, &seen, opts, nullptr).empty());
+  opts.aggregation_overlap = 0.85;
+  const auto merged = AggregateRound(combos, &seen, opts, nullptr);
+  ASSERT_EQ(merged.size(), 1u);
+  EXPECT_EQ(merged[0].tokens, (std::vector<uint32_t>{1, 2}));
+  EXPECT_EQ(merged[0].members.size(), 9u);
 }
 
 TEST(CategoryFunctionTest, RecoversPlantedCategoriesOnSyntheticData) {
