@@ -155,7 +155,7 @@ BENCHMARK(BM_MdlNegativeErrorBits);
 // speedup measurements; threaded rows verify that identity against a
 // 1-thread reference before timing (on the small world only — identity is
 // thread-count-dependent, not size-dependent) and fail the benchmark if
-// the outputs ever disagree.
+// the outputs ever disagree. Rows time wall-clock (UseRealTime).
 void BM_RuleGraphBuild(benchmark::State& state) {
   const size_t facts = static_cast<size_t>(state.range(0));
   SyntheticGenerator gen(BenchWorld(facts));
@@ -184,50 +184,12 @@ void BM_RuleGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_RuleGraphBuild)
     ->ArgsProduct({{3000, 12000}, {1, 2, 4}})
-    ->ArgNames({"facts", "threads"});
-
-// Offline build with the greedy-selection strategy as the axis:
-// speculative Δ-evaluation (the default; parallel per-sweep candidate
-// deltas + serial rank-order admission) vs the reference serial loop, at
-// 1/4 worker threads. Selection is bit-identical across strategies and
-// thread counts, so rows are directly comparable; every row first
-// verifies that identity against a 1-thread serial-loop reference (the
-// same equivalence gate BM_ProcessArrivalBatch uses) and fails the
-// benchmark if the paths ever disagree.
-void BM_GreedySelection(benchmark::State& state) {
-  SyntheticGenerator gen(BenchWorld(3000));
-  auto graph = gen.Generate();
-  AnoTOptions options;
-  options.detector.timespan_tolerance = 10;
-  options.detector.speculative_selection = state.range(0) != 0;
-  options.num_threads = static_cast<size_t>(state.range(1));
-
-  AnoTOptions reference_options = options;
-  reference_options.detector.speculative_selection = false;
-  reference_options.num_threads = 1;
-  AnoT reference = AnoT::Build(*graph, reference_options);
-  AnoT candidate = AnoT::Build(*graph, options);
-  if (reference.rules().num_rules() != candidate.rules().num_rules() ||
-      reference.rules().num_edges() != candidate.rules().num_edges() ||
-      reference.report().total_bits() != candidate.report().total_bits()) {
-    state.SkipWithError(
-        "speculative and serial-loop selection disagree; timings are "
-        "meaningless");
-    return;
-  }
-
-  for (auto _ : state) {
-    AnoT system = AnoT::Build(*graph, options);
-    benchmark::DoNotOptimize(system.rules().num_edges());
-  }
-  state.SetItemsProcessed(state.iterations() * graph->num_facts());
-}
-BENCHMARK(BM_GreedySelection)
-    ->ArgsProduct({{0, 1}, {1, 4}})
-    ->ArgNames({"speculative", "threads"});
+    ->ArgNames({"facts", "threads"})
+    ->UseRealTime();
 
 // Four-view duration ensemble build (§4.7): views parallelize across the
-// pool on top of the sharded per-view pipeline.
+// pool on top of the sharded per-view pipeline. Threaded rows time
+// wall-clock (UseRealTime), since the work runs off the main thread.
 void BM_DurationFourViewBuild(benchmark::State& state) {
   SyntheticGenerator gen(BenchWorld(3000));
   auto graph = gen.Generate();
@@ -240,11 +202,16 @@ void BM_DurationFourViewBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(system.num_views());
   }
 }
-BENCHMARK(BM_DurationFourViewBuild)->Arg(1)->Arg(4)->ArgName("threads");
+BENCHMARK(BM_DurationFourViewBuild)
+    ->Arg(1)
+    ->Arg(4)
+    ->ArgName("threads")
+    ->UseRealTime();
 
 // Batched const scoring on the serving pool at 1/2/4 threads. Scores are
 // bit-identical to scalar Score for every thread count (pinned by
-// online_test), so rows are directly comparable speedup measurements.
+// online_test), so rows are directly comparable wall-clock (UseRealTime)
+// speedup measurements.
 void BM_ScoreBatch(benchmark::State& state) {
   TimeSplit split = SplitByTimestamps(SharedGraph(), 0.6, 0.1);
   auto train = Subgraph(SharedGraph(), split.train);
@@ -267,21 +234,22 @@ void BM_ScoreBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreBatch)
     ->ArgsProduct({{1, 2, 4}, {16, 64}})
-    ->ArgNames({"threads", "batch"});
+    ->ArgNames({"threads", "batch"})
+    ->UseRealTime();
 
-// Full batched online step: speculative parallel scoring + ordered commit
-// + threshold-gated ingest. Threaded rows verify score equivalence against
-// the sequential ProcessArrival loop on a slice before timing and fail the
-// benchmark if the paths ever disagree.
+// Full online step over a batch of 64 arrivals: scoring, threshold-gated
+// ingest and monitoring, one fact at a time. Before timing, the arrivals of
+// a 4-thread detector must equal a 1-thread ProcessArrival loop on a
+// slice; the benchmark fails if they ever disagree.
 void BM_ProcessArrivalBatch(benchmark::State& state) {
   TimeSplit split = SplitByTimestamps(SharedGraph(), 0.6, 0.1);
   auto train = Subgraph(SharedGraph(), split.train);
   AnoTOptions options;
   options.detector.timespan_tolerance = 10;
-  options.num_threads = static_cast<size_t>(state.range(0));
-  const size_t batch_size = static_cast<size_t>(state.range(1));
+  options.num_threads = 4;
+  const size_t batch_size = static_cast<size_t>(state.range(0));
 
-  if (options.num_threads > 1) {
+  {
     const size_t slice = std::min<size_t>(256, split.test.size());
     AnoTOptions serial_options = options;
     serial_options.num_threads = 1;
@@ -303,7 +271,7 @@ void BM_ProcessArrivalBatch(benchmark::State& state) {
           sequential_scores[i].temporal_score !=
               batched_scores[i].temporal_score) {
         state.SkipWithError(
-            "sequential and batched arrival paths disagree; timings are "
+            "1-thread and 4-thread arrival paths disagree; timings are "
             "meaningless");
         return;
       }
@@ -322,9 +290,7 @@ void BM_ProcessArrivalBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch_size);
 }
-BENCHMARK(BM_ProcessArrivalBatch)
-    ->ArgsProduct({{1, 4}, {64}})
-    ->ArgNames({"threads", "batch"});
+BENCHMARK(BM_ProcessArrivalBatch)->Arg(64)->ArgName("batch");
 
 // Full-state checkpoint write + read-back of the shared detector. Before
 // any timing, the restored detector must score a probe slice identically
@@ -438,7 +404,8 @@ BENCHMARK(BM_RefreshStall)
     ->Arg(1)
     ->ArgName("async")
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
+    ->Iterations(3)
+    ->UseRealTime();
 
 void BM_UpdaterIngest(benchmark::State& state) {
   TimeSplit split = SplitByTimestamps(SharedGraph(), 0.6, 0.1);

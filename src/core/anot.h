@@ -50,11 +50,11 @@ struct AnoTOptions {
   bool auto_refresh = false;
   /// Execution mode of monitor-triggered refreshes.
   RefreshMode refresh_mode = RefreshMode::kSynchronous;
-  /// Worker threads for the offline construction pipeline (candidate
-  /// generation, candidate costing, duration views) *and* the batched
-  /// online serving path (ScoreBatch / ProcessArrivalBatch). 0 = one
-  /// worker per hardware thread. Built models and batched scores are
-  /// bit-identical for every value.
+  /// Worker threads for the offline construction pipeline (category
+  /// function, candidate generation, candidate costing, duration views)
+  /// *and* batched scoring (ScoreBatch). 0 = one worker per hardware
+  /// thread. Built models and batched scores are bit-identical for every
+  /// value.
   size_t num_threads = 0;
 };
 
@@ -98,16 +98,9 @@ class AnoT {
   /// non-null, the ingest's counters are *accumulated* into it.
   Scores ProcessArrival(const Fact& fact, UpdateEffects* effects = nullptr);
 
-  /// Micro-batched online step: speculatively scores a window of arrivals
-  /// in parallel against the current (frozen) rule graph, then commits
-  /// them one by one in arrival order, applying the serial monitor /
-  /// threshold / updater / auto-refresh logic per fact. The moment a
-  /// commit mutates scoring state (an ingest or a refresh), the remaining
-  /// speculative scores are discarded and re-scored against the new state,
-  /// so every returned score — and every UpdateEffects counter, refresh
-  /// point, and rule-graph mutation — is bit-identical to the sequential
-  /// ProcessArrival loop at any num_threads and any batch size. When
-  /// `effects` is non-null, all ingest counters are accumulated into it.
+  /// Runs ProcessArrival on each fact of `batch` in order and returns the
+  /// scores. When `effects` is non-null, all ingest counters are
+  /// accumulated into it.
   std::vector<Scores> ProcessArrivalBatch(const std::vector<Fact>& batch,
                                           UpdateEffects* effects = nullptr);
 
@@ -131,8 +124,8 @@ class AnoT {
   // function + rule graph on a background thread while the current scorer
   // keeps serving. Facts ingested after the snapshot are logged; monitor
   // observations after the snapshot are logged too. Once the build is
-  // ready, the next ProcessArrival/ProcessArrivalBatch commit boundary
-  // (or FinishRefresh) performs the swap:
+  // ready, the next ProcessArrival commit boundary (or FinishRefresh)
+  // performs the swap:
   //
   //   1. adopt the rebuilt structures (built from the snapshot),
   //   2. replay the logged ingests through a fresh Updater, and
@@ -143,10 +136,7 @@ class AnoT {
   // scorer state and refresh_count are bit-identical to calling the
   // synchronous Refresh() at the snapshot point followed by IngestValid
   // of the same logged facts; the post-swap monitor equals a monitor
-  // reset to the new budget that then observed the logged window. Inside
-  // a batch the swap counts as a state mutation, so speculative scores
-  // computed before it are discarded and re-scored — batched serving
-  // stays bit-identical to the sequential loop.
+  // reset to the new budget that then observed the logged window.
 
   /// Starts a background rebuild; returns immediately. No-op when one is
   /// already in flight or staged (requests coalesce).
@@ -237,27 +227,15 @@ class AnoT {
   /// Fresh monitor adopting report_'s budget and graph_'s universe sizes.
   void ResetMonitorFromReport();
 
-  /// Swaps in the staged background build if one is ready. Returns true
-  /// when the swap happened (a scoring-state mutation).
-  bool MaybeCompleteRefresh();
+  /// Swaps in the staged background build if one is ready.
+  void MaybeCompleteRefresh();
   /// Adopt staged structures + replay ingest/observation logs (see the
   /// determinism contract above). Requires a ready staged build.
   void CompleteRefresh();
   /// Cancels and discards any in-flight background build and its logs.
   void AbandonRefresh();
 
-  /// Serial commit step shared by ProcessArrival and the batched path:
-  /// monitor observation, validity thresholds, updater ingest, optional
-  /// auto-refresh. Returns true when the commit mutated scoring state
-  /// (speculative scores computed before it are stale).
-  bool CommitArrival(const Fact& fact, const Scores& scores,
-                     UpdateEffects* effects);
-
-  /// Scores facts[begin, end) into (*out)[begin, end) on the serving pool.
-  void ScoreRangeInto(const std::vector<Fact>& facts, size_t begin,
-                      size_t end, std::vector<Scores>* out) const;
-
-  /// Lazily created worker pool for batched serving; nullptr while the
+  /// Lazily created worker pool for batched scoring; nullptr while the
   /// configured thread count resolves to 1. Mutable because scoring is
   /// logically const — the pool is an execution resource, not state.
   ThreadPool* ServingPool() const ANOT_LIFETIME_BOUND;

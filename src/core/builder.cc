@@ -120,6 +120,7 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
       e.by_time = BuildDeltaHistogram(graph_, e.tail_facts);
     }
   });
+  workers.reset();  // selection below is serial
   if (cancelled()) return out;
 
   // ---- Negative-error ledger ----------------------------------------------
@@ -182,21 +183,8 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
   // Each pass repeats sweeps until one admits nothing. A sweep walks
   // candidates in rank order and admits those whose total cost delta is
   // negative, evaluated against the state left by all earlier admissions.
-  //
-  // Speculative Δ-evaluation (the default): a sweep first computes every
-  // remaining candidate's delta in parallel against the sweep-start
-  // state — the cached by_time histograms make each evaluation a flat
-  // CSR walk — then admits serially in rank order. A precomputed delta
-  // is reused unless one of the candidate's timestamps reports a ledger
-  // epoch newer than the sweep snapshot, i.e. an earlier admission in
-  // this sweep applied counters there. Admissions touch eligibility
-  // (fact_mapped / fact_associated flips) only for facts whose timestamp
-  // they applied to, so an untouched footprint guarantees the
-  // speculative delta equals what the serial loop would compute at this
-  // point; a touched one is recomputed from live state. Both paths run
-  // the identical histogram walk and ascending-timestamp CostDelta sum,
-  // so speculative and serial selection are bit-identical at every
-  // thread count (pinned by core_test's selection-determinism goldens).
+  // The cached by_time histograms make each evaluation a flat walk in
+  // ascending timestamp order, so every CostDelta sum is deterministic.
   std::vector<uint8_t> fact_mapped(graph_.num_facts(), 0);
   std::vector<uint8_t> fact_associated(graph_.num_facts(), 0);
   std::vector<uint8_t> rule_selected(pool.rules.size(), 0);
@@ -205,75 +193,38 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
   double model_bits = ModelHeaderBits(universe);
   double assertion_bits = 0.0;
 
+  // Each pass defines its eligibility predicate exactly once, in a
+  // collect lambda that fills the timestamp-ordered delta list; pricing
+  // previews that list with CostDelta and admission applies the same
+  // list, so the previewed and applied counters cannot drift apart.
   using LedgerDeltas = std::vector<NegativeErrorLedger::TimestampDelta>;
-  const bool speculate = options_.speculative_selection;
-  auto run_greedy = [&](const std::vector<uint32_t>& order,
+  auto run_greedy = [&](const auto& candidates,
+                        const std::vector<uint32_t>& order,
                         std::vector<uint8_t>& selected,
-                        auto&& histogram_of,   // idx -> const DeltaHistogram&
-                        auto&& compute_delta,  // (idx, buf, delta) -> viable
-                        auto&& admit) {
-    std::vector<double> spec_delta;
-    std::vector<uint8_t> spec_viable;
+                        auto&& collect,  // (idx, buf) -> any deltas?
+                        auto&& mark) {   // idx -> update fact flags
     LedgerDeltas buf;
     bool changed = true;
     while (changed && !cancelled()) {
       changed = false;
-      const uint64_t sweep_epoch = ledger.epoch();
-      if (speculate) {
-        spec_delta.assign(order.size(), 0.0);
-        spec_viable.assign(order.size(), 0);
-        // Nothing mutates between here and the admission walk, so shards
-        // read the live ledger / eligibility flags as the snapshot; each
-        // shard writes only its own spec slots.
-        ParallelForShards(
-            workers.get(), order.size(),
-            DeterministicShardCount(order.size()),
-            [&](size_t /*shard*/, size_t begin, size_t end) {
-              LedgerDeltas shard_buf;
-              for (size_t i = begin; i < end; ++i) {
-                const uint32_t idx = order[i];
-                if (selected[idx]) continue;
-                double delta = 0.0;
-                if (compute_delta(idx, &shard_buf, &delta)) {
-                  spec_delta[i] = delta;
-                  spec_viable[i] = 1;
-                }
-              }
-            });
-      }
-      for (size_t i = 0; i < order.size(); ++i) {
-        const uint32_t idx = order[i];
-        if (selected[idx]) continue;
-        double delta = 0.0;
-        bool viable = false;
-        bool recompute = !speculate;
-        if (speculate) {
-          for (Timestamp t : histogram_of(idx).times) {
-            if (ledger.epoch_at(t) > sweep_epoch) {
-              recompute = true;
-              break;
-            }
-          }
-        }
-        if (recompute) {
-          viable = compute_delta(idx, &buf, &delta);
-        } else {
-          viable = spec_viable[i] != 0;
-          delta = spec_delta[i];
-        }
-        if (!viable || delta >= 0.0) continue;
+      for (const uint32_t idx : order) {
+        if (selected[idx] || !collect(idx, &buf)) continue;
+        const auto& c = candidates[idx];
+        const double delta =
+            ledger.CostDelta(buf) + c.model_bits + c.assertion_bits;
+        if (delta >= 0.0) continue;
         // Admit (Algorithm 1 lines 10-11).
-        admit(idx);
+        selected[idx] = 1;
+        model_bits += c.model_bits;
+        assertion_bits += c.assertion_bits;
+        for (const auto& td : buf) {
+          ledger.Apply(td.t, td.d.mapped, td.d.associated);
+        }
+        mark(idx);
         changed = true;
       }
     }
   };
-
-  // Each pass defines its eligibility predicate exactly once, in a
-  // collect lambda that fills the timestamp-ordered delta list; pricing
-  // previews it with CostDelta, admission applies it verbatim — so the
-  // previewed and applied counters cannot drift apart.
-  LedgerDeltas admit_buf;  // admission is serial, one buffer suffices
 
   // ---- Rules pass -----------------------------------------------------------
   std::vector<uint32_t> rule_order;
@@ -291,30 +242,12 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
     }
     return !buf->empty();
   };
-  run_greedy(
-      rule_order, rule_selected,
-      [&](uint32_t idx) -> const DeltaHistogram& {
-        return pool.rules[idx].by_time;
-      },
-      [&](uint32_t idx, LedgerDeltas* buf, double* delta) {
-        if (!collect_rule(idx, buf)) return false;
-        const RuleCandidate& c = pool.rules[idx];
-        *delta = ledger.CostDelta(*buf) + c.model_bits + c.assertion_bits;
-        return true;
-      },
-      [&](uint32_t idx) {
-        const RuleCandidate& c = pool.rules[idx];
-        rule_selected[idx] = 1;
-        model_bits += c.model_bits;
-        assertion_bits += c.assertion_bits;
-        collect_rule(idx, &admit_buf);
-        for (const auto& td : admit_buf) {
-          ledger.Apply(td.t, td.d.mapped, td.d.associated);
-        }
-        for (FactId f : c.assertions) {
-          if (fact_mapped[f] < 255) ++fact_mapped[f];
-        }
-      });
+  run_greedy(pool.rules, rule_order, rule_selected, collect_rule,
+             [&](uint32_t idx) {
+               for (FactId f : pool.rules[idx].assertions) {
+                 if (fact_mapped[f] < 255) ++fact_mapped[f];
+               }
+             });
 
   if (cancelled()) return out;
 
@@ -336,34 +269,15 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
     }
     return !buf->empty();
   };
-  run_greedy(
-      edge_order, edge_selected,
-      [&](uint32_t idx) -> const DeltaHistogram& {
-        return pool.edges[idx].by_time;
-      },
-      [&](uint32_t idx, LedgerDeltas* buf, double* delta) {
-        if (!collect_edge(idx, buf)) return false;
-        const EdgeCandidate& e = pool.edges[idx];
-        *delta = ledger.CostDelta(*buf) + e.model_bits + e.assertion_bits;
-        return true;
-      },
-      [&](uint32_t idx) {
-        const EdgeCandidate& e = pool.edges[idx];
-        edge_selected[idx] = 1;
-        model_bits += e.model_bits;
-        assertion_bits += e.assertion_bits;
-        collect_edge(idx, &admit_buf);
-        for (const auto& td : admit_buf) {
-          ledger.Apply(td.t, td.d.mapped, td.d.associated);
-        }
-        for (FactId f : e.tail_facts) {
-          if (fact_mapped[f] > 0 && fact_associated[f] < 255) {
-            ++fact_associated[f];
-          }
-        }
-      });
+  run_greedy(pool.edges, edge_order, edge_selected, collect_edge,
+             [&](uint32_t idx) {
+               for (FactId f : pool.edges[idx].tail_facts) {
+                 if (fact_mapped[f] > 0 && fact_associated[f] < 255) {
+                   ++fact_associated[f];
+                 }
+               }
+             });
 
-  workers.reset();
   if (cancelled()) return out;
 
   // ---- Materialize the rule graph ------------------------------------------
@@ -435,9 +349,9 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
   report.assertion_bits = assertion_bits;
   report.negative_bits = ledger.total_cost();
   report.build_seconds = timer.ElapsedSeconds();
-  // End-of-selection commit boundary: with ANOT_VALIDATE these catch a
-  // speculative Δ-admission that desynced the ledger, or a materialization
-  // bug, right here instead of ten goldens later (no-ops otherwise).
+  // End-of-selection commit boundary: with ANOT_VALIDATE these catch an
+  // admission that desynced the ledger, or a materialization bug, right
+  // here instead of ten goldens later (no-ops otherwise).
   ledger.CheckInvariants();
   rg.CheckInvariants();
   return out;

@@ -17,10 +17,8 @@ namespace anot {
 ///
 /// Cached once per candidate by the builder so each greedy-selection
 /// sweep walks a flat, timestamp-sorted array instead of rebuilding a
-/// per-candidate hash map: the sorted group order makes every cost-delta
-/// summation deterministic (the foundation of the speculative /
-/// serial-loop bit-identity contract), and the group list doubles as the
-/// candidate's dirty-timestamp footprint for epoch checks.
+/// per-candidate hash map; the sorted group order makes every cost-delta
+/// summation deterministic.
 struct DeltaHistogram {
   std::vector<Timestamp> times;    // unique, ascending
   std::vector<uint32_t> offsets;   // times.size() + 1 offsets into facts

@@ -64,16 +64,6 @@ struct DetectorOptions {
   bool unit_rule_weight = false;  // replace |A_v| by 1 in Eqs. 9-10
   RankingMode ranking = RankingMode::kDeltaCost;
 
-  /// Greedy-selection execution strategy (§4.3.3 / Algorithm 1 lines
-  /// 7-12). When true, each sweep evaluates every remaining candidate's
-  /// cost delta in parallel against a sweep-start ledger snapshot and
-  /// admits serially in rank order, recomputing a delta only when an
-  /// earlier admission in the same sweep dirtied one of its timestamps.
-  /// When false, the reference serial loop runs. Both paths produce
-  /// bit-identical rule graphs and build reports for every thread count
-  /// (pinned by core_test's selection-determinism goldens).
-  bool speculative_selection = true;
-
   /// Out-edge violation extension of Eq. 10 (the paper's "can be further
   /// extended" remark; needed for the Trump/outgoing-president case).
   bool use_out_edge_violations = true;

@@ -1,8 +1,8 @@
 // Equivalence harness for the batched online serving path: pins
 // "parallel == sequential, bit for bit" as a tested property of
 // AnoT::ScoreBatch / AnoT::ProcessArrivalBatch. Every comparison is exact
-// (EXPECT_EQ on doubles): ordered commit plus speculative re-scoring must
-// reproduce the sequential loop's state machine, not approximate it.
+// (EXPECT_EQ on doubles): batched arrivals must reproduce the sequential
+// loop's state machine, not approximate it.
 //
 // CI runs this suite under ANOT_THREADS=1 and ANOT_THREADS=4; the env
 // value is folded into the tested thread counts so the equivalence cases
@@ -190,7 +190,7 @@ TEST_F(OnlineFixture, BatchedArrivalsBitIdenticalToSequential) {
   ASSERT_GT(ref.effects.facts_ingested, 0u)
       << "stream never ingests: the equivalence case is vacuous";
   ASSERT_LT(ref.effects.facts_ingested, stream_->size())
-      << "stream always ingests: the speculative path is never exercised";
+      << "stream always ingests: score-only arrivals are never exercised";
 
   for (size_t threads : ThreadCountsUnderTest()) {
     for (size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {

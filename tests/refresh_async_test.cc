@@ -51,7 +51,7 @@ AnoTOptions RefreshOptions(size_t num_threads) {
   return options;
 }
 
-/// The validity rule CommitArrival applies at the default thresholds
+/// The validity rule ProcessArrival applies at the default thresholds
 /// (1.0, 1.0): decides which arrivals the updater ingested.
 bool IngestedAtDefaultThresholds(const Scores& s) {
   return s.static_score <= 1.0 &&
@@ -172,7 +172,7 @@ class RefreshAsyncFixture : public ::testing::Test {
   /// The expected post-swap monitor: reset to the post-refresh budget,
   /// then fed the window observations (recorded from old-structure
   /// scores) and the probe observations (new-structure scores), exactly
-  /// as CommitArrival observed them.
+  /// as ProcessArrival observed them.
   static Monitor ExpectedMonitor() {
     Monitor expected(ref_->report().negative_bits,
                      ref_->report().num_train_timestamps, ref_tier1_,
@@ -244,7 +244,7 @@ TEST_F(RefreshAsyncFixture, PostSwapStateBitIdenticalToSyncRefreshPlusReplay) {
       // Deterministic swap point: wait for the staged build, then let the
       // last window fact's commit perform the swap. When batch > 1 the
       // probes ride in the same chunk, so the swap happens mid-batch and
-      // the speculative probe scores must be discarded and re-scored.
+      // the probes must be scored against the swapped-in structures.
       system.WaitForRefreshReady();
       ASSERT_TRUE(system.RefreshReady());
       std::vector<Fact> tail;

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Repo-custom determinism lint for the AnoT codebase.
 
-Every parallel path in this repo (offline build, batched serving, async
-refresh, speculative selection, sweeps) is pinned bit-identical to a serial
-reference.  The classes of code that have broken — or nearly broken — that
+Every parallel path in this repo (offline build, batched scoring, async
+refresh, sweeps) is pinned bit-identical to a serial reference.  The classes of code that have broken — or nearly broken — that
 contract are mechanical to spot:
 
   unordered-iter   iteration over a std::unordered_{map,set,multimap,multiset}
