@@ -237,65 +237,10 @@ BENCHMARK(BM_ScoreBatch)
     ->ArgNames({"threads", "batch"})
     ->UseRealTime();
 
-// Full online step over a batch of 64 arrivals: scoring, threshold-gated
-// ingest and monitoring, one fact at a time. Before timing, the arrivals of
-// a 4-thread detector must equal a 1-thread ProcessArrival loop on a
-// slice; the benchmark fails if they ever disagree.
-void BM_ProcessArrivalBatch(benchmark::State& state) {
-  TimeSplit split = SplitByTimestamps(SharedGraph(), 0.6, 0.1);
-  auto train = Subgraph(SharedGraph(), split.train);
-  AnoTOptions options;
-  options.detector.timespan_tolerance = 10;
-  options.num_threads = 4;
-  const size_t batch_size = static_cast<size_t>(state.range(0));
-
-  {
-    const size_t slice = std::min<size_t>(256, split.test.size());
-    AnoTOptions serial_options = options;
-    serial_options.num_threads = 1;
-    AnoT serial = AnoT::Build(*train, serial_options);
-    AnoT parallel = AnoT::Build(*train, options);
-    std::vector<Fact> facts;
-    for (size_t i = 0; i < slice; ++i) {
-      facts.push_back(SharedGraph().fact(split.test[i]));
-    }
-    std::vector<Scores> sequential_scores;
-    for (const Fact& f : facts) {
-      sequential_scores.push_back(serial.ProcessArrival(f));
-    }
-    const std::vector<Scores> batched_scores =
-        parallel.ProcessArrivalBatch(facts);
-    for (size_t i = 0; i < slice; ++i) {
-      if (sequential_scores[i].static_score !=
-              batched_scores[i].static_score ||
-          sequential_scores[i].temporal_score !=
-              batched_scores[i].temporal_score) {
-        state.SkipWithError(
-            "1-thread and 4-thread arrival paths disagree; timings are "
-            "meaningless");
-        return;
-      }
-    }
-  }
-
-  AnoT system = AnoT::Build(*train, options);
-  std::vector<Fact> batch(batch_size);
-  size_t next = 0;
-  for (auto _ : state) {
-    for (size_t i = 0; i < batch_size; ++i) {
-      batch[i] = SharedGraph().fact(split.test[next++ % split.test.size()]);
-    }
-    std::vector<Scores> scores = system.ProcessArrivalBatch(batch);
-    benchmark::DoNotOptimize(scores.data());
-  }
-  state.SetItemsProcessed(state.iterations() * batch_size);
-}
-BENCHMARK(BM_ProcessArrivalBatch)->Arg(64)->ArgName("batch");
-
 // Full-state checkpoint write + read-back of the shared detector. Before
 // any timing, the restored detector must score a probe slice identically
-// to the original (the BM_ProcessArrivalBatch equivalence-gate pattern):
-// a fast but wrong serializer must fail the benchmark, not win it.
+// to the original: a fast but wrong serializer must fail the benchmark,
+// not win it.
 void BM_CheckpointSaveLoad(benchmark::State& state) {
   const bool load = state.range(0) != 0;
   const AnoT& system = SharedSystem();

@@ -214,14 +214,6 @@ Scores AnoT::ProcessArrival(const Fact& fact, UpdateEffects* effects) {
   return scores;
 }
 
-std::vector<Scores> AnoT::ProcessArrivalBatch(const std::vector<Fact>& batch,
-                                              UpdateEffects* effects) {
-  std::vector<Scores> out;
-  out.reserve(batch.size());
-  for (const Fact& fact : batch) out.push_back(ProcessArrival(fact, effects));
-  return out;
-}
-
 void AnoT::Refresh() {
   AbandonRefresh();
   ++refresh_count_;
@@ -315,6 +307,7 @@ Explainer AnoT::MakeExplainer() const {
 void AnoT::CheckInvariants() const {
 #ifdef ANOT_VALIDATE
   graph_->CheckInvariants();
+  categories_->CheckInvariants(graph_->num_entities());
   rules_->CheckInvariants();
   monitor_->CheckInvariants();
   if (updater_ != nullptr) updater_->CheckInvariants();

@@ -56,6 +56,19 @@ struct AnoTOptions {
   /// thread. Built models and batched scores are bit-identical for every
   /// value.
   size_t num_threads = 0;
+
+  /// The persisted field list, in checkpoint order (io/checkpoint.cc).
+  /// num_threads is bounded so a corrupt file cannot ask for a huge pool.
+  template <class V>
+  void Fields(V& v) {
+    detector.Fields(v);
+    updater.Fields(v);
+    monitor.Fields(v);
+    v(enable_updater);
+    v(auto_refresh);
+    v(refresh_mode, RefreshMode::kAsynchronous);
+    v(num_threads, size_t{4096});
+  }
 };
 
 /// \brief The AnoT detector-updater-monitor system (Figure 2).
@@ -97,12 +110,6 @@ class AnoT {
   /// the knowledge (Algorithm 3). Returns the scores. When `effects` is
   /// non-null, the ingest's counters are *accumulated* into it.
   Scores ProcessArrival(const Fact& fact, UpdateEffects* effects = nullptr);
-
-  /// Runs ProcessArrival on each fact of `batch` in order and returns the
-  /// scores. When `effects` is non-null, all ingest counters are
-  /// accumulated into it.
-  std::vector<Scores> ProcessArrivalBatch(const std::vector<Fact>& batch,
-                                          UpdateEffects* effects = nullptr);
 
   /// Validity thresholds used by ProcessArrival (tuned on validation in
   /// the experiment protocol). Facts with static_score <= static_threshold
@@ -174,8 +181,8 @@ class AnoT {
   size_t refresh_count() const { return refresh_count_; }
 
   /// Debug validator (compiled behind ANOT_VALIDATE, no-op otherwise):
-  /// runs CheckInvariants() on the grown TKG, the rule graph, the monitor
-  /// and the updater. Call at commit boundaries (between arrivals/batches,
+  /// runs CheckInvariants() on the grown TKG, the category function, the
+  /// rule graph, the monitor and the updater. Call at commit boundaries (between arrivals/batches,
   /// after Refresh/FinishRefresh), never concurrently with mutation.
   void CheckInvariants() const;
 

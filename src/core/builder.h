@@ -34,6 +34,25 @@ struct BuildReport {
   double total_bits() const {
     return model_bits + assertion_bits + negative_bits;
   }
+
+  /// The persisted field list, in checkpoint order (io/checkpoint.cc).
+  /// build_seconds is wall-clock time, not state, so it is left out: a
+  /// loaded detector reports 0 and two identical builds save equal bytes.
+  template <class V>
+  void Fields(V& v) {
+    v(num_categories);
+    v(num_rules);
+    v(num_temporal_rules);
+    v(num_edges);
+    v(num_candidate_rules);
+    v(num_candidate_edges);
+    v(explained_fraction);
+    v(associated_fraction);
+    v(model_bits);
+    v(assertion_bits);
+    v(negative_bits);
+    v(num_train_timestamps);
+  }
 };
 
 /// \brief Greedy MDL construction of the optimal rule graph (Algorithm 1).

@@ -1,6 +1,7 @@
 #include "core/monitor.h"
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace anot {
 
@@ -63,22 +64,35 @@ bool Monitor::ShouldRefresh() const {
   return false;
 }
 
+Status Monitor::Validate() const {
+  ANOT_RETURN_NOT_OK(pricing_.Validate());
+  if (!(online_bits_ >= 0.0)) {
+    return Status::Internal("accumulated online bits negative");
+  }
+  if (bucket_associated_ > bucket_mapped_) {
+    return Status::Internal(StrFormat("bucket associated %u > mapped %u",
+                                      bucket_associated_, bucket_mapped_));
+  }
+  if (bucket_mapped_ > bucket_total_) {
+    return Status::Internal(StrFormat("bucket mapped %u > total %u",
+                                      bucket_mapped_, bucket_total_));
+  }
+  if (bucket_open_) {
+    if (bucket_total_ < 1) {
+      return Status::Internal("open bucket with no arrivals");
+    }
+    if (bucket_time_ == kNoTimestamp) {
+      return Status::Internal("open bucket with no time");
+    }
+  } else if (bucket_total_ != 0) {
+    return Status::Internal("closed bucket retains counters");
+  }
+  return Status::OK();
+}
+
 void Monitor::CheckInvariants() const {
 #ifdef ANOT_VALIDATE
-  ANOT_CHECK(online_bits_ >= 0.0) << "accumulated online bits negative";
-  ANOT_CHECK(bucket_associated_ <= bucket_mapped_)
-      << "bucket associated " << bucket_associated_ << " > mapped "
-      << bucket_mapped_;
-  ANOT_CHECK(bucket_mapped_ <= bucket_total_)
-      << "bucket mapped " << bucket_mapped_ << " > total " << bucket_total_;
-  if (bucket_open_) {
-    ANOT_CHECK(bucket_total_ >= 1) << "open bucket with no arrivals";
-    ANOT_CHECK(bucket_time_ != kNoTimestamp) << "open bucket with no time";
-  } else {
-    ANOT_CHECK(bucket_total_ == 0 && bucket_mapped_ == 0 &&
-               bucket_associated_ == 0)
-        << "closed bucket retains counters";
-  }
+  ANOT_CHECK_OK(Validate());
 #endif  // ANOT_VALIDATE
 }
 

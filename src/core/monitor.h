@@ -56,18 +56,22 @@ class Monitor {
   /// is left open exactly as live observation would.
   void Replay(const std::vector<MonitorObservation>& observations);
 
+  /// Checks the pricing ledger, non-negative accumulated bits, and bucket
+  /// counter coherence (associated <= mapped <= total; a closed bucket
+  /// holds zeroed counters, an open one at least one arrival and a real
+  /// timestamp). Returns the first violation.
+  Status Validate() const;
+
   /// Debug validator (compiled behind ANOT_VALIDATE, no-op otherwise):
-  /// bucket counter coherence (associated <= mapped <= total; a closed
-  /// bucket holds zeroed counters, an open one at least one arrival and a
-  /// real timestamp) and non-negative accumulated bits.
-  /// ANOT_CHECK-fails on the first violation.
+  /// ANOT_CHECK-fails when Validate() does.
   void CheckInvariants() const;
 
  private:
   /// The checkpoint codec (io/checkpoint.h) persists the pricing-ledger
   /// universes and the accumulation/bucket state directly — the universes
   /// are frozen at build time, so a restore must NOT recompute them from
-  /// the (since grown) graph.
+  /// the (since grown) graph. Its field list for the scalars below lives
+  /// in the codec.
   friend class Checkpoint;
 
   void CloseBucket();

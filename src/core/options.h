@@ -84,6 +84,30 @@ struct DetectorOptions {
   /// Duration-TKG anchors (§4.7). Point TKGs ignore these.
   TimeAnchor head_anchor = TimeAnchor::kStart;
   TimeAnchor tail_anchor = TimeAnchor::kStart;
+
+  /// The persisted field list, in checkpoint order (io/checkpoint.cc). An
+  /// enum field names its largest enumerator, the bound a reader enforces.
+  template <class V>
+  void Fields(V& v) {
+    category.Fields(v);
+    v(max_candidate_edges);
+    v(max_recursion_steps);
+    v(timespan_tolerance);
+    v(lambda);
+    v(max_pair_lag);
+    v(max_instantiation_scan);
+    v(use_triadic);
+    v(use_recursion);
+    v(use_category_aggregation);
+    v(unit_rule_weight);
+    v(ranking, RankingMode::kAssertionsOnly);
+    v(use_out_edge_violations);
+    v(theta_mode, ThetaMode::kAsPrinted);
+    v(temporal_base_weight);
+    v(conflict_weight);
+    v(head_anchor, TimeAnchor::kEnd);
+    v(tail_anchor, TimeAnchor::kEnd);
+  }
 };
 
 /// \brief Online-update knobs (§4.4; Algorithm 3).
@@ -98,6 +122,13 @@ struct UpdaterOptions {
   /// candidate is evicted, bounding memory at the cost of forgetting
   /// support that accrues slower than the eviction horizon.
   size_t max_pending_rules = 65536;
+
+  /// The persisted field list, in checkpoint order (io/checkpoint.cc).
+  template <class V>
+  void Fields(V& v) {
+    v(new_rule_min_support);
+    v(max_pending_rules);
+  }
 };
 
 /// \brief Monitor knobs (§4.5; Eq. 11).
@@ -112,6 +143,13 @@ struct MonitorOptions {
   };
   Mode mode = Mode::kTotalBudget;
   double slack = 1.0;
+
+  /// The persisted field list, in checkpoint order (io/checkpoint.cc).
+  template <class V>
+  void Fields(V& v) {
+    v(mode, Mode::kPerTimestamp);
+    v(slack);
+  }
 };
 
 }  // namespace anot

@@ -57,23 +57,39 @@ void Updater::ErasePendingRule(const AtomicRule& rule) {
   pending_rules_.erase(rule);
 }
 
+Status Updater::Validate() const {
+  if (pending_rules_.size() >
+      std::max<size_t>(1, options_.max_pending_rules)) {
+    return Status::Internal("pending table exceeds max_pending_rules cap");
+  }
+  // anot-lint: ordered-ok validation only: each entry's check is
+  // independent, and which violation is reported first does not matter
+  for (const auto& [rule, entry] : pending_rules_) {
+    if (entry.support < 1) {
+      return Status::Internal("pending rule with zero support");
+    }
+    ANOT_RETURN_NOT_OK(rule.ValidateIds(categories_->num_categories(),
+                                        graph_->num_relations()));
+    if (rules_->FindRule(rule).has_value()) {
+      return Status::Internal(
+          "rule is both pending and admitted to the rule graph");
+    }
+  }
+  return Status::OK();
+}
+
 void Updater::CheckInvariants() const {
 #ifdef ANOT_VALIDATE
+  ANOT_CHECK_OK(Validate());
   ANOT_CHECK(pending_rules_.size() == pending_lru_.size())
       << "pending table (" << pending_rules_.size() << ") and LRU list ("
       << pending_lru_.size() << ") diverged";
-  ANOT_CHECK(pending_rules_.size() <=
-             std::max<size_t>(1, options_.max_pending_rules))
-      << "pending table exceeds max_pending_rules cap";
   for (auto it = pending_lru_.begin(); it != pending_lru_.end(); ++it) {
     auto entry = pending_rules_.find(*it);
     ANOT_CHECK(entry != pending_rules_.end())
         << "LRU node missing from the pending table";
     ANOT_CHECK(entry->second.lru == it)
         << "pending entry's LRU iterator does not round-trip";
-    ANOT_CHECK(entry->second.support >= 1) << "pending support below 1";
-    ANOT_CHECK(!rules_->FindRule(*it).has_value())
-        << "rule is both pending and admitted to the rule graph";
   }
 #endif  // ANOT_VALIDATE
 }

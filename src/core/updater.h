@@ -57,10 +57,14 @@ class Updater {
   /// UpdaterOptions::max_pending_rules (diagnostics / tests).
   size_t pending_rule_count() const { return pending_rules_.size(); }
 
+  /// Checks the pending-rule table: the cap is respected, and every entry
+  /// has support >= 1, names known categories and a known relation, and
+  /// is not also admitted to the rule graph. Returns the first violation.
+  Status Validate() const;
+
   /// Debug validator (compiled behind ANOT_VALIDATE, no-op otherwise):
-  /// pending-rule table and LRU list agree entry for entry (same size,
-  /// every list node's stored iterator round-trips, no rule both pending
-  /// and admitted), supports >= 1, and the cap is respected.
+  /// Validate() plus the table/list pairing — same size, and every list
+  /// node is in the table with a stored iterator that round-trips.
   /// ANOT_CHECK-fails on the first violation.
   void CheckInvariants() const;
 

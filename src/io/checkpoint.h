@@ -18,9 +18,11 @@ namespace anot {
 /// graph, the build report, the monitor (including its pricing-ledger
 /// universes, which are frozen at build time and must NOT be recomputed
 /// from the grown graph), the updater's pending-rule table in LRU order,
-/// and the serving thresholds / refresh counter. Loading a checkpoint and
-/// continuing the stream is bit-identical to never having restarted, at
-/// every ANOT_THREADS setting (pinned by checkpoint_test).
+/// and the serving thresholds / refresh counter. Wall-clock build time is
+/// not state and is not saved, so two identical builds save identical
+/// bytes. Loading a checkpoint and continuing the stream is bit-identical
+/// to never having restarted, at every ANOT_THREADS setting (pinned by
+/// checkpoint_test).
 ///
 /// File layout (all integers little-endian, doubles as IEEE-754 bit
 /// patterns):
@@ -35,7 +37,10 @@ namespace anot {
 /// Versioning policy: the format version is bumped on any layout change;
 /// a reader only accepts its own version (no silent cross-version reads).
 /// Version skew, truncation, bit corruption, and semantically invalid
-/// state all come back as Status errors — never UB, never an abort.
+/// state all come back as Status errors — never UB, never an abort. Each
+/// scalar struct's fields are listed once, in its `Fields` visitor, and
+/// each structure's invariants once, in its Validate(), which the loader
+/// runs before any ANOT_CHECK-bearing constructor or mutator sees the data.
 ///
 /// Serialization order is canonical (unordered containers are sorted
 /// before writing), so saving a just-loaded detector reproduces the
@@ -45,7 +50,7 @@ class Checkpoint {
   /// Footer/section framing constants, public so tests and tooling can
   /// craft or inspect checkpoint bytes.
   static constexpr char kMagic[8] = {'A', 'N', 'O', 'T', 'C', 'K', 'P', 'T'};
-  static constexpr uint32_t kFormatVersion = 2;
+  static constexpr uint32_t kFormatVersion = 3;
 
   /// Serializes `system` to `path` atomically (temp file + rename).
   /// FailedPrecondition when a background refresh is in flight — quiesce

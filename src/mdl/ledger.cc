@@ -5,6 +5,7 @@
 
 #include "mdl/encoding.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace anot {
 
@@ -14,7 +15,7 @@ NegativeErrorLedger::NegativeErrorLedger(double tier1_universe,
       tier2_universe_(tier2_universe > 0.0
                           ? tier2_universe
                           : std::max(2.0, std::cbrt(tier1_universe))) {
-  ANOT_CHECK(tier1_universe_ >= 1.0);
+  ANOT_CHECK_OK(Validate());
 }
 
 double NegativeErrorLedger::CostAt(uint32_t total, uint32_t mapped,
@@ -86,33 +87,51 @@ uint32_t NegativeErrorLedger::total_at(Timestamp t) const {
   return it == per_timestamp_.end() ? 0 : it->second.total;
 }
 
-void NegativeErrorLedger::CheckInvariants() const {
-#ifdef ANOT_VALIDATE
+Status NegativeErrorLedger::Validate() const {
+  if (!(std::isfinite(tier1_universe_) && tier1_universe_ >= 1.0)) {
+    return Status::Internal("tier-1 universe out of range");
+  }
+  if (!(std::isfinite(tier2_universe_) && tier2_universe_ > 0.0)) {
+    return Status::Internal("tier-2 universe out of range");
+  }
   double sum = 0.0;
   // anot-lint: ordered-ok validation only: per-entry checks are
   // independent, and the float sum is compared under a tolerance that
   // absorbs ordering drift
   for (const auto& [t, c] : per_timestamp_) {
-    ANOT_CHECK(c.mapped <= c.total)
-        << "timestamp " << t << ": mapped " << c.mapped << " > total "
-        << c.total;
-    ANOT_CHECK(c.associated <= c.mapped)
-        << "timestamp " << t << ": associated " << c.associated
-        << " > mapped " << c.mapped;
+    if (c.mapped > c.total) {
+      return Status::Internal(StrFormat("timestamp %lld: mapped %u > total %u",
+                                        static_cast<long long>(t), c.mapped,
+                                        c.total));
+    }
+    if (c.associated > c.mapped) {
+      return Status::Internal(StrFormat(
+          "timestamp %lld: associated %u > mapped %u",
+          static_cast<long long>(t), c.associated, c.mapped));
+    }
     // The cached cost was assigned from this exact pure call, so it must
     // match bit for bit — any difference means a counter moved without a
     // reprice.
-    ANOT_CHECK(c.cost == CostAt(c.total, c.mapped, c.associated))
-        << "timestamp " << t << ": cached cost stale";
+    if (c.cost != CostAt(c.total, c.mapped, c.associated)) {
+      return Status::Internal(StrFormat("timestamp %lld: cached cost stale",
+                                        static_cast<long long>(t)));
+    }
     sum += c.cost;
   }
   // total_cost_ is maintained incrementally (+= new - old per mutation),
   // so allow float drift; the summation order over the hash map varies,
   // which the tolerance also absorbs.
-  ANOT_CHECK(std::abs(total_cost_ - sum) <=
-             1e-6 * std::max(1.0, std::abs(sum)))
-      << "total cost " << total_cost_ << " diverged from per-timestamp sum "
-      << sum;
+  if (!(std::abs(total_cost_ - sum) <= 1e-6 * std::max(1.0, std::abs(sum)))) {
+    return Status::Internal(
+        StrFormat("total cost %g diverged from per-timestamp sum %g",
+                  total_cost_, sum));
+  }
+  return Status::OK();
+}
+
+void NegativeErrorLedger::CheckInvariants() const {
+#ifdef ANOT_VALIDATE
+  ANOT_CHECK_OK(Validate());
 #endif  // ANOT_VALIDATE
 }
 

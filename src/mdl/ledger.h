@@ -4,8 +4,11 @@
 
 #include "tkg/types.h"
 #include "util/containers.h"
+#include "util/status.h"
 
 namespace anot {
+
+class Checkpoint;
 
 /// \brief Incremental bookkeeping of the negative-error cost L(N_G)
 /// (Eq. 8, two-tier realization — see mdl/encoding.h).
@@ -18,7 +21,8 @@ class NegativeErrorLedger {
  public:
   /// `tier1_universe` is U1 = |E|^2 * |R|, the per-timestamp position
   /// universe of Eq. 8; `tier2_universe` (default U1^(1/3), roughly |E|)
-  /// prices an unassociated-but-mapped fact.
+  /// prices an unassociated-but-mapped fact. The resolved universes must
+  /// pass Validate().
   explicit NegativeErrorLedger(double tier1_universe,
                                double tier2_universe = 0.0);
 
@@ -60,11 +64,15 @@ class NegativeErrorLedger {
   /// monitor on unseen timestamps).
   double CostAt(uint32_t total, uint32_t mapped, uint32_t associated) const;
 
-  /// Debug validator (compiled behind ANOT_VALIDATE, no-op otherwise):
-  /// per-timestamp counter ranges (associated <= mapped <= total), cached
-  /// cost bit-identical to a CostAt recompute, and total_cost_ equal to the
-  /// per-timestamp sum within float tolerance. ANOT_CHECK-fails on the
+  /// Checks the universes (a finite U1 >= 1 and a finite U2 > 0),
+  /// per-timestamp counter ranges (associated <= mapped <= total), each
+  /// cached cost bit-identical to a CostAt recompute, and total_cost_
+  /// equal to the per-timestamp sum within float tolerance. Returns the
   /// first violation.
+  Status Validate() const;
+
+  /// Debug validator (compiled behind ANOT_VALIDATE, no-op otherwise):
+  /// ANOT_CHECK-fails when Validate() does.
   void CheckInvariants() const;
 
 #ifdef ANOT_VALIDATE
@@ -77,6 +85,10 @@ class NegativeErrorLedger {
 #endif
 
  private:
+  /// The checkpoint codec (io/checkpoint.h) persists a monitor's pricing
+  /// universes directly; per-timestamp counters are never persisted.
+  friend class Checkpoint;
+
   struct Counters {
     uint32_t total = 0;
     uint32_t mapped = 0;

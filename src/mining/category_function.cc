@@ -6,6 +6,7 @@
 #include "mining/category_aggregation.h"
 #include "mining/prefixspan.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace anot {
@@ -25,7 +26,6 @@ CategoryFunction CategoryFunction::Build(
     const CategoryFunctionOptions& options, ThreadPool* workers,
     const std::atomic<bool>* cancel) {
   CategoryFunction fn;
-  fn.options_ = options;
   fn.entity_categories_.resize(graph.num_entities());
   const auto cancelled = [cancel] {
     return cancel != nullptr && cancel->load(std::memory_order_relaxed);
@@ -235,6 +235,76 @@ CategoryId CategoryFunction::UpdateEntity(
   auto pos = std::lower_bound(members.begin(), members.end(), e);
   if (pos == members.end() || *pos != e) members.insert(pos, e);
   return best;
+}
+
+namespace {
+
+template <class T>
+bool StrictlyAscending(const std::vector<T>& v) {
+  return std::adjacent_find(v.begin(), v.end(), [](const T& a, const T& b) {
+           return a >= b;
+         }) == v.end();
+}
+
+}  // namespace
+
+Status CategoryFunction::Validate(size_t num_entities) const {
+  for (CategoryId c = 0; c < categories_.size(); ++c) {
+    const CategoryInfo& info = categories_[c];
+    if (!StrictlyAscending(info.tokens)) {
+      return Status::Internal(
+          StrFormat("category %u tokens not strictly ascending", c));
+    }
+    if (!StrictlyAscending(info.members)) {
+      return Status::Internal(
+          StrFormat("category %u members not strictly ascending", c));
+    }
+    if (!info.members.empty() && info.members.back() >= num_entities) {
+      return Status::Internal(
+          StrFormat("category %u has a member outside the entity universe",
+                    c));
+    }
+  }
+  if (entity_categories_.size() > num_entities) {
+    return Status::Internal(
+        "entity-category table larger than the entity universe");
+  }
+  for (EntityId e = 0; e < entity_categories_.size(); ++e) {
+    const std::vector<CategoryId>& cats = entity_categories_[e];
+    if (!StrictlyAscending(cats)) {
+      return Status::Internal(
+          StrFormat("entity %u categories not strictly ascending", e));
+    }
+    if (!cats.empty() && cats.back() >= categories_.size()) {
+      return Status::Internal(
+          StrFormat("entity %u assigned an unknown category", e));
+    }
+  }
+  // anot-lint: ordered-ok validation only: each entry's check is
+  // independent, and which violation is reported first does not matter
+  for (const auto& [token, c] : singleton_categories_) {
+    if (c >= categories_.size() ||
+        categories_[c].tokens != std::vector<uint32_t>{token}) {
+      return Status::Internal(StrFormat(
+          "singleton entry for token %u is not a one-token category", token));
+    }
+  }
+  return Status::OK();
+}
+
+void CategoryFunction::CheckInvariants(size_t num_entities) const {
+#ifdef ANOT_VALIDATE
+  ANOT_CHECK_OK(Validate(num_entities));
+  // AddCategory appends ids to token_index_ in creation order, so the
+  // recompute in id order must match exactly (content and order).
+  std::unordered_map<uint32_t, std::vector<CategoryId>> want;
+  for (CategoryId c = 0; c < categories_.size(); ++c) {
+    for (uint32_t t : categories_[c].tokens) want[t].push_back(c);
+  }
+  ANOT_CHECK(token_index_ == want) << "token index diverged";
+#else
+  (void)num_entities;
+#endif  // ANOT_VALIDATE
 }
 
 }  // namespace anot

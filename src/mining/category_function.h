@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "tkg/graph.h"
+#include "util/status.h"
 
 namespace anot {
 
@@ -32,6 +33,18 @@ struct CategoryFunctionOptions {
   size_t max_aggregation_candidates = 800;
   /// Safety cap on the total number of categories kept.
   size_t max_categories = 50000;
+
+  /// The persisted field list, in checkpoint order (io/checkpoint.cc).
+  template <class V>
+  void Fields(V& v) {
+    v(max_categories_per_entity);
+    v(min_support);
+    v(max_combination_size);
+    v(aggregation_overlap);
+    v(max_aggregation_rounds);
+    v(max_aggregation_candidates);
+    v(max_categories);
+  }
 };
 
 /// \brief The category function C(·): entity -> set of implicit categories.
@@ -91,25 +104,39 @@ class CategoryFunction {
   CategoryId UpdateEntity(EntityId e, uint32_t new_token,
                           const TemporalKnowledgeGraph& graph);
 
-  const CategoryFunctionOptions& options() const ANOT_LIFETIME_BOUND {
-    return options_;
-  }
+  /// Checks the mined state against its invariants: category tokens and
+  /// members strictly ascending, members and tracked entities inside the
+  /// entity universe `num_entities`, each entity's categories strictly
+  /// ascending and known, and every singleton entry naming a one-token
+  /// category of its token. Returns the first violation.
+  Status Validate(size_t num_entities) const;
+
+  /// Debug validator (compiled behind ANOT_VALIDATE, no-op otherwise):
+  /// Validate() plus an exact recompute of the derived token index.
+  /// ANOT_CHECK-fails on the first violation.
+  void CheckInvariants(size_t num_entities) const;
 
  private:
-  /// The checkpoint codec (io/checkpoint.h) restores the mined state
-  /// field-by-field; token_index_ is recomputed from categories_ at load.
+  /// The checkpoint codec (io/checkpoint.h) writes and reads the mined
+  /// tables directly and recomputes token_index_ from categories_ at load.
   friend class Checkpoint;
 
   struct CategoryInfo {
     std::vector<uint32_t> tokens;   // ascending
     std::vector<EntityId> members;  // ascending
+
+    /// The persisted field list, in checkpoint order.
+    template <class V>
+    void Fields(V& v) {
+      v.List(tokens);
+      v.List(members);
+    }
   };
 
   CategoryId AddCategory(std::vector<uint32_t> tokens,
                          std::vector<EntityId> members);
   void AssignToEntity(EntityId e, CategoryId c);
 
-  CategoryFunctionOptions options_;
   std::vector<CategoryInfo> categories_;
   std::vector<std::vector<CategoryId>> entity_categories_;
   /// token -> categories whose combination contains it (for UpdateEntity).

@@ -11,6 +11,18 @@ namespace {
 const RuleGraph::EdgeList kNoEdges;
 }
 
+Status AtomicRule::ValidateIds(size_t num_categories,
+                               size_t num_relations) const {
+  if (subject_category >= num_categories ||
+      object_category >= num_categories) {
+    return Status::InvalidArgument("rule references an unknown category");
+  }
+  if (relation >= num_relations) {
+    return Status::InvalidArgument("rule references an unknown relation");
+  }
+  return Status::OK();
+}
+
 RuleId RuleGraph::AddRule(const AtomicRule& rule, bool static_selected) {
   auto it = rule_index_.find(rule);
   if (it != rule_index_.end()) {
@@ -54,11 +66,23 @@ std::optional<RuleEdgeId> RuleGraph::FindEdge(RuleEdgeKind kind, RuleId head,
   return it->second;
 }
 
+Status RuleGraph::ValidateEdge(const RuleEdge& edge) const {
+  if (edge.head >= rules_.size() || edge.tail >= rules_.size()) {
+    return Status::InvalidArgument("edge references unknown rule");
+  }
+  if (edge.kind == RuleEdgeKind::kChain && edge.mid != kInvalidId) {
+    return Status::InvalidArgument("chain edge has a mid rule");
+  }
+  if (edge.kind == RuleEdgeKind::kTriadic && edge.mid >= rules_.size()) {
+    return Status::InvalidArgument("triadic edge lacks a mid rule");
+  }
+  if (!std::is_sorted(edge.timespans.begin(), edge.timespans.end())) {
+    return Status::InvalidArgument("edge timespans unsorted");
+  }
+  return Status::OK();
+}
+
 RuleEdgeId RuleGraph::AddEdge(const RuleEdge& edge) {
-  ANOT_CHECK(edge.head < rules_.size() && edge.tail < rules_.size())
-      << "edge references unknown rule";
-  ANOT_CHECK(edge.kind == RuleEdgeKind::kChain || edge.mid < rules_.size())
-      << "triadic edge requires a mid rule";
   const uint64_t key = EdgeKey(edge.kind, edge.head, edge.mid, edge.tail);
   auto it = edge_index_.find(key);
   if (it != edge_index_.end()) {
@@ -71,6 +95,7 @@ RuleEdgeId RuleGraph::AddEdge(const RuleEdge& edge) {
   const RuleEdgeId id = static_cast<RuleEdgeId>(edges_.size());
   edges_.push_back(edge);
   std::sort(edges_.back().timespans.begin(), edges_.back().timespans.end());
+  ANOT_CHECK_OK(ValidateEdge(edges_.back()));
   edge_index_.emplace(key, id);
   in_edges_[edge.tail].push_back(id);
   out_edges_[edge.head].push_back(id);
@@ -117,13 +142,27 @@ std::string RuleGraph::ToString() const {
   return out;
 }
 
+Status RuleGraph::Validate() const {
+  const size_t n = rules_.size();
+  if (support_.size() != n || static_selected_.size() != n ||
+      recurrent_.size() != n || in_edges_.size() != n ||
+      out_edges_.size() != n) {
+    return Status::Internal("rule parallel arrays diverged");
+  }
+  for (RuleEdgeId id = 0; id < edges_.size(); ++id) {
+    const Status st = ValidateEdge(edges_[id]);
+    if (!st.ok()) {
+      return Status::Internal(StrFormat("edge %u: %s", id,
+                                        st.message().c_str()));
+    }
+  }
+  return Status::OK();
+}
+
 void RuleGraph::CheckInvariants() const {
 #ifdef ANOT_VALIDATE
+  ANOT_CHECK_OK(Validate());
   const size_t n = rules_.size();
-  ANOT_CHECK(support_.size() == n && static_selected_.size() == n &&
-             recurrent_.size() == n && in_edges_.size() == n &&
-             out_edges_.size() == n)
-      << "rule parallel arrays diverged";
   ANOT_CHECK(rule_index_.size() == n) << "rule index size diverged";
   // anot-lint: ordered-ok validation only: each entry's round-trip check is
   // independent of every other entry, so iteration order cannot change the
@@ -142,15 +181,6 @@ void RuleGraph::CheckInvariants() const {
   std::vector<std::vector<RuleEdgeId>> want_out(n);
   for (RuleEdgeId id = 0; id < edges_.size(); ++id) {
     const RuleEdge& e = edges_[id];
-    ANOT_CHECK(e.head < n && e.tail < n)
-        << "edge " << id << " references unknown rule";
-    if (e.kind == RuleEdgeKind::kChain) {
-      ANOT_CHECK(e.mid == kInvalidId) << "chain edge " << id << " has a mid";
-    } else {
-      ANOT_CHECK(e.mid < n) << "triadic edge " << id << " lacks a mid rule";
-    }
-    ANOT_CHECK(std::is_sorted(e.timespans.begin(), e.timespans.end()))
-        << "edge " << id << " timespans unsorted";
     auto indexed = edge_index_.find(EdgeKey(e.kind, e.head, e.mid, e.tail));
     ANOT_CHECK(indexed != edge_index_.end() && indexed->second == id)
         << "edge index does not round-trip for edge " << id;

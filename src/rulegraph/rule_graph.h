@@ -6,6 +6,7 @@
 
 #include "tkg/types.h"
 #include "util/containers.h"
+#include "util/status.h"
 
 namespace anot {
 
@@ -23,6 +24,18 @@ struct AtomicRule {
            relation == other.relation &&
            object_category == other.object_category;
   }
+
+  /// The persisted field list, in checkpoint order (io/checkpoint.cc).
+  template <class V>
+  void Fields(V& v) {
+    v(subject_category);
+    v(relation);
+    v(object_category);
+  }
+
+  /// Checks that the rule names categories and a relation inside the
+  /// given universes.
+  Status ValidateIds(size_t num_categories, size_t num_relations) const;
 };
 
 struct AtomicRuleHash {
@@ -50,6 +63,17 @@ struct RuleEdge {
   small_vec<Timestamp, 8> timespans;
   /// Number of correct assertions |A_e| observed at selection time.
   uint32_t support = 0;
+
+  /// The persisted field list, in checkpoint order (io/checkpoint.cc).
+  template <class V>
+  void Fields(V& v) {
+    v(kind, RuleEdgeKind::kTriadic);
+    v(head);
+    v(mid);
+    v(tail);
+    v(support);
+    v.List(timespans);
+  }
 };
 
 /// \brief The rule graph: the paper's TKG summarization structure.
@@ -70,8 +94,14 @@ class RuleGraph {
   /// Id lookup; nullopt when the rule is not a node.
   std::optional<RuleId> FindRule(const AtomicRule& rule) const;
 
-  /// Adds an edge; merges timespans into an existing identical edge.
+  /// Adds an edge; merges timespans into an existing identical edge. A
+  /// new edge must pass ValidateEdge once its timespans are sorted.
   RuleEdgeId AddEdge(const RuleEdge& edge);
+
+  /// Checks one edge against this graph's rules: head and tail are known
+  /// rules, a triadic edge has a known mid rule and a chain edge none, and
+  /// the timespans are sorted.
+  Status ValidateEdge(const RuleEdge& edge) const;
 
   size_t num_rules() const { return rules_.size(); }
   size_t num_edges() const { return edges_.size(); }
@@ -120,11 +150,14 @@ class RuleGraph {
   /// Multi-line human-readable dump (used by serialization and examples).
   std::string ToString() const;
 
+  /// Checks the persisted state: parallel per-rule arrays of one size and
+  /// every edge passing ValidateEdge. Returns the first violation.
+  Status Validate() const;
+
   /// Debug validator (compiled behind ANOT_VALIDATE, no-op otherwise):
-  /// parallel-array sizes, rule/edge index round-trips, num_static_ count,
-  /// edge endpoint validity (chain edges carry no mid), sorted timespans,
-  /// and exact in/out adjacency membership. ANOT_CHECK-fails on the first
-  /// violation.
+  /// Validate() plus the indexes AddRule/AddEdge maintain — rule/edge
+  /// index round-trips, the num_static_ count, and exact in/out adjacency
+  /// membership. ANOT_CHECK-fails on the first violation.
   void CheckInvariants() const;
 
  private:

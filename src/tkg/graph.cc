@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace anot {
 
@@ -26,12 +27,19 @@ void TemporalKnowledgeGraph::InsertSortedByTime(std::vector<FactId>* list,
   list->insert(pos, id);
 }
 
+Status TemporalKnowledgeGraph::ValidateFact(const Fact& fact) {
+  if (fact.subject == kInvalidId || fact.object == kInvalidId ||
+      fact.relation == kInvalidId) {
+    return Status::InvalidArgument("fact carries invalid ids");
+  }
+  if (fact.end < fact.time) {
+    return Status::InvalidArgument("fact ends before it starts");
+  }
+  return Status::OK();
+}
+
 FactId TemporalKnowledgeGraph::AddFact(const Fact& fact) {
-  ANOT_CHECK(fact.subject != kInvalidId && fact.object != kInvalidId &&
-             fact.relation != kInvalidId)
-      << "AddFact requires valid ids";
-  ANOT_CHECK(fact.end >= fact.time)
-      << "fact end time precedes start time";
+  ANOT_CHECK_OK(ValidateFact(fact));
 
   const FactId id = static_cast<FactId>(facts_.size());
   facts_.push_back(fact);
@@ -151,28 +159,19 @@ std::string TemporalKnowledgeGraph::RelationName(RelationId r) const {
   return "R" + std::to_string(r);
 }
 
-void TemporalKnowledgeGraph::CheckInvariants() const {
-#ifdef ANOT_VALIDATE
-  // Recompute every secondary index from the primary fact store and demand
-  // exact agreement. AddFact maintains all of them incrementally; any
-  // divergence means a mutation corrupted an index.
+Status TemporalKnowledgeGraph::Validate() const {
   size_t want_entities = 0;
   size_t want_relations = 0;
   bool want_durations = false;
   Timestamp want_min = kNoTimestamp;
   Timestamp want_max = kNoTimestamp;
-  std::map<Timestamp, std::vector<FactId>> want_by_time;
-  dense_map<uint64_t, std::vector<FactId>> want_pairs;
-  dense_map<EntityId, std::vector<FactId>> want_subjects;
-  dense_map<EntityId, std::vector<FactId>> want_objects;
-  dense_map<Triple, uint32_t, TripleHash> want_triples;
-
   for (FactId id = 0; id < facts_.size(); ++id) {
     const Fact& f = facts_[id];
-    ANOT_CHECK(f.subject != kInvalidId && f.relation != kInvalidId &&
-               f.object != kInvalidId)
-        << "fact " << id << " carries invalid ids";
-    ANOT_CHECK(f.end >= f.time) << "fact " << id << " ends before it starts";
+    const Status st = ValidateFact(f);
+    if (!st.ok()) {
+      return Status::Internal(StrFormat("fact %u: %s", id,
+                                        st.message().c_str()));
+    }
     want_entities = std::max(
         want_entities,
         static_cast<size_t>(std::max(f.subject, f.object)) + 1);
@@ -181,6 +180,36 @@ void TemporalKnowledgeGraph::CheckInvariants() const {
     if (f.end != f.time) want_durations = true;
     if (want_min == kNoTimestamp || f.time < want_min) want_min = f.time;
     if (want_max == kNoTimestamp || f.time > want_max) want_max = f.time;
+  }
+  if (num_entities_ != want_entities) {
+    return Status::Internal("entity universe diverged from the fact log");
+  }
+  if (num_relations_ != want_relations) {
+    return Status::Internal("relation universe diverged from the fact log");
+  }
+  if (has_durations_ != want_durations) {
+    return Status::Internal("duration flag diverged from the fact log");
+  }
+  if (min_time_ != want_min || max_time_ != want_max) {
+    return Status::Internal("time bounds diverged from the fact log");
+  }
+  return Status::OK();
+}
+
+void TemporalKnowledgeGraph::CheckInvariants() const {
+#ifdef ANOT_VALIDATE
+  ANOT_CHECK_OK(Validate());
+  // Recompute every secondary index from the primary fact store and demand
+  // exact agreement. AddFact maintains all of them incrementally; any
+  // divergence means a mutation corrupted an index.
+  std::map<Timestamp, std::vector<FactId>> want_by_time;
+  dense_map<uint64_t, std::vector<FactId>> want_pairs;
+  dense_map<EntityId, std::vector<FactId>> want_subjects;
+  dense_map<EntityId, std::vector<FactId>> want_objects;
+  dense_map<Triple, uint32_t, TripleHash> want_triples;
+
+  for (FactId id = 0; id < facts_.size(); ++id) {
+    const Fact& f = facts_[id];
     want_by_time[f.time].push_back(id);
     want_pairs[PairKey(f.subject, f.object)].push_back(id);
     want_subjects[f.subject].push_back(id);
@@ -189,13 +218,6 @@ void TemporalKnowledgeGraph::CheckInvariants() const {
     ANOT_CHECK(fact_set_.count(f) > 0)
         << "fact " << id << " missing from the membership set";
   }
-  ANOT_CHECK(num_entities_ == want_entities) << "entity universe diverged";
-  ANOT_CHECK(num_relations_ == want_relations)
-      << "relation universe diverged";
-  ANOT_CHECK(has_durations_ == want_durations) << "duration flag diverged";
-  ANOT_CHECK(min_time_ == want_min && max_time_ == want_max)
-      << "time bounds diverged";
-
   // by_time_ buckets are push_back'd in arrival (= id) order, exactly how
   // the recompute appends them; the pair/role lists are stably sorted by
   // (time, id), so sort the recomputed lists the same way before the exact
@@ -276,12 +298,12 @@ void TemporalKnowledgeGraph::CheckInvariants() const {
 
   ANOT_CHECK(relation_tokens_.size() == num_entities_)
       << "relation-token table size diverged";
-  std::vector<TokenSet> want_tokens(want_entities);
+  std::vector<TokenSet> want_tokens(num_entities_);
   for (const Fact& f : facts_) {
     want_tokens[f.subject].insert(OutRelationToken(f.relation));
     want_tokens[f.object].insert(InRelationToken(f.relation));
   }
-  for (EntityId e = 0; e < want_entities; ++e) {
+  for (EntityId e = 0; e < num_entities_; ++e) {
     ANOT_CHECK(relation_tokens_[e] == want_tokens[e])
         << "relation tokens diverged for entity " << e;
   }

@@ -8,6 +8,7 @@
 #include "tkg/dictionary.h"
 #include "tkg/types.h"
 #include "util/containers.h"
+#include "util/status.h"
 
 namespace anot {
 
@@ -131,12 +132,20 @@ class TemporalKnowledgeGraph {
   std::string EntityName(EntityId e) const;
   std::string RelationName(RelationId r) const;
 
+  /// AddFact's precondition: every id valid and end >= time.
+  static Status ValidateFact(const Fact& fact);
+
+  /// Checks what the fact log determines: every fact passes ValidateFact,
+  /// and the universe sizes, duration flag and time bounds match the log.
+  /// O(|F|); the indexes AddFact maintains are left to CheckInvariants.
+  Status Validate() const;
+
   /// Debug validator (compiled behind ANOT_VALIDATE, no-op otherwise):
-  /// recomputes every secondary index from facts_ and ANOT_CHECK-fails on
-  /// the first divergence — bucket/pair/role lists complete and sorted by
-  /// (time, id), relation-token sets exact, triple counts exact, universe
-  /// sizes and time bounds exact. O(|F| log |F|); call at commit
-  /// boundaries in tests, not per arrival.
+  /// Validate() plus a recompute of every secondary index from facts_,
+  /// ANOT_CHECK-failing on the first divergence — bucket/pair/role lists
+  /// complete and sorted by (time, id), relation-token sets exact, triple
+  /// counts exact. O(|F| log |F|); call at commit boundaries in tests,
+  /// not per arrival.
   void CheckInvariants() const;
 
  private:

@@ -42,6 +42,16 @@ struct Fact {
     return subject == other.subject && relation == other.relation &&
            object == other.object && time == other.time && end == other.end;
   }
+
+  /// The persisted field list, in checkpoint order (io/checkpoint.cc).
+  template <class V>
+  void Fields(V& v) {
+    v(subject);
+    v(relation);
+    v(object);
+    v(time);
+    v(end);
+  }
 };
 
 /// \brief (s, r, o) triple identity, used for ContainsTriple lookups.

@@ -2,10 +2,12 @@
 // offline build + N arrivals, load in a fresh detector, and the remaining
 // stream's scores, monitor decisions, and pending-rule state are
 // bit-identical to never having restarted — plus the canonical-bytes
-// property (saving a just-loaded detector reproduces the file byte for
-// byte) and every malformed-input failure path as a descriptive Status
-// (never a crash, never an abort: all checks run before any
-// ANOT_CHECK-bearing constructor).
+// properties (saving a just-loaded detector reproduces the file byte for
+// byte, and two identical builds save identical bytes) and the
+// malformed-input failure paths: framing errors, and one semantic
+// corruption per section, each a descriptive Status (never a crash, never
+// an abort: the loader runs each structure's Validate() before any
+// ANOT_CHECK-bearing constructor or mutator sees the data).
 //
 // CI runs this suite under ANOT_THREADS=1 and ANOT_THREADS=4; the env
 // value selects the thread schedule exactly as in online_test.
@@ -88,6 +90,10 @@ uint64_t ReadU64At(const std::string& b, size_t off) {
 
 void WriteU64At(std::string* b, size_t off, uint64_t v) {
   for (int i = 0; i < 8; ++i) (*b)[off + i] = static_cast<char>(v >> (8 * i));
+}
+
+void WriteU32At(std::string* b, size_t off, uint32_t v) {
+  for (int i = 0; i < 4; ++i) (*b)[off + i] = static_cast<char>(v >> (8 * i));
 }
 
 /// Recomputes the footer after a byte patch, so the test reaches the
@@ -178,16 +184,12 @@ std::string* CheckpointFixture::good_bytes_ = nullptr;
 
 // ------------------------------------------------ warm-restart equivalence
 
-/// Processes stream[begin, end) in batches of 32, appending the scores.
+/// Processes stream[begin, end) in order, appending the scores.
 void RunRange(AnoT* system, const std::vector<Fact>& stream, size_t begin,
               size_t end, std::vector<Scores>* scores,
               UpdateEffects* effects) {
-  std::vector<Fact> batch;
-  for (size_t i = begin; i < end; i += 32) {
-    const size_t stop = std::min(end, i + 32);
-    batch.assign(stream.begin() + i, stream.begin() + stop);
-    std::vector<Scores> s = system->ProcessArrivalBatch(batch, effects);
-    scores->insert(scores->end(), s.begin(), s.end());
+  for (size_t i = begin; i < end; ++i) {
+    scores->push_back(system->ProcessArrival(stream[i], effects));
   }
 }
 
@@ -273,6 +275,21 @@ TEST_F(CheckpointFixture, ResaveOfLoadedDetectorIsByteIdentical) {
   const std::string resaved = ReadBytes(path);
   std::filesystem::remove(path);
   EXPECT_EQ(*good_bytes_, resaved);
+}
+
+TEST_F(CheckpointFixture, TwoBuildsSaveIdenticalBytes) {
+  // Wall-clock build time is not state, so it is not persisted: two
+  // independent builds with the same options save the same bytes.
+  std::string saved[2];
+  for (std::string& bytes : saved) {
+    AnoT system = AnoT::Build(*train_, CheckpointOptions(1));
+    const std::string path = TempPath("anot_ckpt_twin.bin");
+    ASSERT_TRUE(system.SaveCheckpoint(path).ok());
+    bytes = ReadBytes(path);
+    std::filesystem::remove(path);
+  }
+  EXPECT_TRUE(saved[0] == saved[1])
+      << "sizes " << saved[0].size() << " and " << saved[1].size();
 }
 
 TEST_F(CheckpointFixture, FreshBuildRoundTripsBeforeAnyArrival) {
@@ -412,6 +429,94 @@ TEST_F(CheckpointFixture, RejectsTrailingGarbageInsideSection) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("trailing bytes"), std::string::npos)
       << r.status().message();
+}
+
+// ----------------------------------------------- per-section semantics
+//
+// One corruption per section, each a patch of the good file that keeps
+// its framing and is re-checksummed, so it reaches the section decoder.
+
+/// Offset of the first category with two or more tokens, or 0 if none.
+size_t FirstMultiTokenCategory(const std::string& b, size_t payload) {
+  const uint64_t num_categories = ReadU64At(b, payload);
+  size_t off = payload + 8;
+  for (uint64_t c = 0; c < num_categories; ++c) {
+    const uint64_t tokens = ReadU64At(b, off);
+    if (tokens >= 2) return off;
+    off += 8 + 4 * static_cast<size_t>(tokens);
+    off += 8 + 4 * static_cast<size_t>(ReadU64At(b, off));  // members
+  }
+  return 0;
+}
+
+struct SectionCorruption {
+  // anot-own: points at a string literal in kSectionCorruptions.
+  const char* name;
+  uint32_t section;
+  /// Patches the section payload at `payload` (of length `len`) in place.
+  void (*patch)(std::string* b, size_t payload, uint64_t len);
+  /// Phrase the error message must contain.
+  // anot-own: points at a string literal in kSectionCorruptions.
+  const char* expect;
+};
+
+const SectionCorruption kSectionCorruptions[] = {
+    {"options enum out of range", 1,
+     [](std::string* b, size_t payload, uint64_t len) {
+       // refresh_mode is the byte before the trailing u64 num_threads.
+       (*b)[payload + len - 9] = 2;
+     },
+     "out of range"},
+    {"fact naming an unknown entity", 2,
+     [](std::string* b, size_t payload, uint64_t len) {
+       // The fact log closes the section: 28 bytes per fact.
+       WriteU32At(b, payload + len - 28, 0x7FFFFFF0u);
+     },
+     "unknown entity"},
+    {"unsorted category tokens", 3,
+     [](std::string* b, size_t payload, uint64_t) {
+       const size_t off = FirstMultiTokenCategory(*b, payload);
+       ASSERT_GT(off, 0u) << "no category with two tokens";
+       WriteU32At(b, off + 8, 0xFFFFFFF0u);  // first token above the second
+     },
+     "tokens not strictly ascending"},
+    {"edge naming an unknown rule", 4,
+     [](std::string* b, size_t payload, uint64_t) {
+       const uint64_t num_rules = ReadU64At(*b, payload);
+       const size_t edges = payload + 8 + 17 * static_cast<size_t>(num_rules);
+       ASSERT_GT(ReadU64At(*b, edges), 0u) << "no rule edges";
+       // First edge: u8 kind, then u32 head.
+       WriteU32At(b, edges + 8 + 1, static_cast<uint32_t>(num_rules + 7));
+     },
+     "unknown rule"},
+    {"non-finite report value", 5,
+     [](std::string* b, size_t payload, uint64_t len) {
+       // negative_bits precedes the trailing u64 num_train_timestamps.
+       WriteU64At(b, payload + len - 16, 0x7FF8000000000000ull);  // NaN
+     },
+     "non-finite"},
+    {"pending rule with zero support", 7,
+     [](std::string* b, size_t payload, uint64_t) {
+       ASSERT_GT(ReadU64At(*b, payload), 0u) << "no pending rules";
+       // First entry: three u32 rule fields, then the u32 support.
+       WriteU32At(b, payload + 8 + 12, 0);
+     },
+     "zero support"},
+};
+
+TEST_F(CheckpointFixture, RejectsSemanticCorruptionInEverySection) {
+  for (const SectionCorruption& c : kSectionCorruptions) {
+    SCOPED_TRACE(c.name);
+    std::string bytes = *good_bytes_;
+    uint64_t len = 0;
+    const size_t payload = SectionPayloadOffset(bytes, c.section, &len);
+    c.patch(&bytes, payload, len);
+    Rechecksum(&bytes);
+    Result<AnoT> r = LoadFromBytes(bytes, "anot_ckpt_section.bin");
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.status().message().find(c.expect), std::string::npos)
+        << r.status().message();
+  }
 }
 
 }  // namespace

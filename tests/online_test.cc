@@ -1,8 +1,8 @@
-// Equivalence harness for the batched online serving path: pins
-// "parallel == sequential, bit for bit" as a tested property of
-// AnoT::ScoreBatch / AnoT::ProcessArrivalBatch. Every comparison is exact
-// (EXPECT_EQ on doubles): batched arrivals must reproduce the sequential
-// loop's state machine, not approximate it.
+// Equivalence harness for the online serving path: pins "parallel ==
+// sequential, bit for bit" as a tested property of AnoT::ScoreBatch, and
+// pins the ProcessArrival loop (score, monitor, ingest, auto-refresh) as
+// independent of AnoTOptions::num_threads. Every comparison is exact
+// (EXPECT_EQ on doubles).
 //
 // CI runs this suite under ANOT_THREADS=1 and ANOT_THREADS=4; the env
 // value is folded into the tested thread counts so the equivalence cases
@@ -57,9 +57,9 @@ struct RunOutcome {
   std::string rules;  // serialized rule graph
 };
 
-RunOutcome RunSequential(const TemporalKnowledgeGraph& train,
-                         const AnoTOptions& options,
-                         const std::vector<Fact>& stream) {
+RunOutcome RunArrivals(const TemporalKnowledgeGraph& train,
+                       const AnoTOptions& options,
+                       const std::vector<Fact>& stream) {
   AnoT system = AnoT::Build(train, options);
   RunOutcome out;
   out.scores.reserve(stream.size());
@@ -73,32 +73,9 @@ RunOutcome RunSequential(const TemporalKnowledgeGraph& train,
   return out;
 }
 
-RunOutcome RunBatched(const TemporalKnowledgeGraph& train,
-                      const AnoTOptions& options,
-                      const std::vector<Fact>& stream, size_t batch_size) {
-  AnoT system = AnoT::Build(train, options);
-  RunOutcome out;
-  out.scores.reserve(stream.size());
-  std::vector<Fact> batch;
-  batch.reserve(batch_size);
-  for (size_t begin = 0; begin < stream.size(); begin += batch_size) {
-    const size_t end = std::min(stream.size(), begin + batch_size);
-    batch.assign(stream.begin() + begin, stream.begin() + end);
-    std::vector<Scores> scores =
-        system.ProcessArrivalBatch(batch, &out.effects);
-    out.scores.insert(out.scores.end(), scores.begin(), scores.end());
-  }
-  ValidateAtCommitBoundary(system);
-  out.refresh_count = system.refresh_count();
-  out.num_facts = system.graph().num_facts();
-  out.rules = system.rules().ToString();
-  return out;
-}
-
 void ExpectOutcomesIdentical(const RunOutcome& ref, const RunOutcome& got,
-                             size_t threads, size_t batch) {
-  SCOPED_TRACE("threads=" + std::to_string(threads) +
-               " batch=" + std::to_string(batch));
+                             size_t threads) {
+  SCOPED_TRACE("threads=" + std::to_string(threads));
   ASSERT_EQ(ref.scores.size(), got.scores.size());
   for (size_t i = 0; i < ref.scores.size(); ++i) {
     ExpectScoresIdentical(ref.scores[i], got.scores[i], i);
@@ -176,42 +153,38 @@ TEST_F(OnlineFixture, ScoreBatchMatchesScalarScoreAndIsPure) {
 TEST_F(OnlineFixture, EmptyAndSingletonBatches) {
   AnoT system = AnoT::Build(*train_, OnlineOptions(2));
   EXPECT_TRUE(system.ScoreBatch({}).empty());
-  EXPECT_TRUE(system.ProcessArrivalBatch({}).empty());
-  const std::vector<Scores> one =
-      system.ProcessArrivalBatch({stream_->front()});
+  const std::vector<Scores> one = system.ScoreBatch({stream_->front()});
   ASSERT_EQ(one.size(), 1u);
+  ExpectScoresIdentical(system.Score(stream_->front()), one.front(), 0);
 }
 
 // --------------------------------------------- ordered-commit equivalence
 
-TEST_F(OnlineFixture, BatchedArrivalsBitIdenticalToSequential) {
+TEST_F(OnlineFixture, ArrivalsBitIdenticalAcrossThreadCounts) {
   const AnoTOptions sequential_options = OnlineOptions(1);
-  const RunOutcome ref = RunSequential(*train_, sequential_options, *stream_);
+  const RunOutcome ref = RunArrivals(*train_, sequential_options, *stream_);
   ASSERT_GT(ref.effects.facts_ingested, 0u)
       << "stream never ingests: the equivalence case is vacuous";
   ASSERT_LT(ref.effects.facts_ingested, stream_->size())
       << "stream always ingests: score-only arrivals are never exercised";
 
   for (size_t threads : ThreadCountsUnderTest()) {
-    for (size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
-      const RunOutcome got =
-          RunBatched(*train_, OnlineOptions(threads), *stream_, batch);
-      ExpectOutcomesIdentical(ref, got, threads, batch);
-    }
+    ExpectOutcomesIdentical(
+        ref, RunArrivals(*train_, OnlineOptions(threads), *stream_), threads);
   }
 }
 
 // ------------------------------------------------- refresh mid-stream
 
-TEST_F(OnlineFixture, AutoRefreshMidBatchBitIdenticalToSequential) {
+TEST_F(OnlineFixture, AutoRefreshMidStreamBitIdenticalAcrossThreadCounts) {
   AnoTOptions options = OnlineOptions(1);
   options.auto_refresh = true;
   options.monitor.mode = MonitorOptions::Mode::kPerTimestamp;
 
   // A prefix of real (ingestable) facts, then a dense flood of
   // unknown-entity garbage that blows the per-timestamp budget so Refresh
-  // fires *inside* a batch, then more real facts scored against the
-  // rebuilt rule graph. The ingested prefix makes the refreshed graph
+  // fires mid-stream, then more real facts scored against the rebuilt
+  // rule graph. The ingested prefix makes the refreshed graph
   // differ from the offline build.
   std::vector<Fact> stream;
   const EntityId base = static_cast<EntityId>(graph_->num_entities());
@@ -230,16 +203,13 @@ TEST_F(OnlineFixture, AutoRefreshMidBatchBitIdenticalToSequential) {
     stream.push_back(graph_->fact(split_->test[i]));
   }
 
-  const RunOutcome ref = RunSequential(*train_, options, stream);
+  const RunOutcome ref = RunArrivals(*train_, options, stream);
   ASSERT_GT(ref.refresh_count, 0u) << "monitor never fired: case is vacuous";
 
   for (size_t threads : ThreadCountsUnderTest()) {
     AnoTOptions par = options;
     par.num_threads = threads;
-    for (size_t batch : {size_t{7}, size_t{64}}) {
-      const RunOutcome got = RunBatched(*train_, par, stream, batch);
-      ExpectOutcomesIdentical(ref, got, threads, batch);
-    }
+    ExpectOutcomesIdentical(ref, RunArrivals(*train_, par, stream), threads);
   }
 }
 

@@ -58,17 +58,11 @@ bool IngestedAtDefaultThresholds(const Scores& s) {
          (!s.temporal_evaluated || s.temporal_score <= 1.0);
 }
 
-/// Feeds `facts` through ProcessArrivalBatch in chunks of `batch`,
-/// appending every returned score to `out`.
-void ProcessInChunks(AnoT* system, const std::vector<Fact>& facts,
-                     size_t batch, std::vector<Scores>* out) {
-  std::vector<Fact> chunk;
-  for (size_t begin = 0; begin < facts.size(); begin += batch) {
-    const size_t end = std::min(facts.size(), begin + batch);
-    chunk.assign(facts.begin() + begin, facts.begin() + end);
-    std::vector<Scores> scores = system->ProcessArrivalBatch(chunk);
-    out->insert(out->end(), scores.begin(), scores.end());
-  }
+/// Feeds `facts` through ProcessArrival in order, appending every score
+/// to `out`.
+void ProcessAll(AnoT* system, const std::vector<Fact>& facts,
+                std::vector<Scores>* out) {
+  for (const Fact& f : facts) out->push_back(system->ProcessArrival(f));
 }
 
 /// Shared expensive fixture: one world, one split, one arrival stream cut
@@ -221,73 +215,69 @@ TEST_F(RefreshAsyncFixture, PostSwapStateBitIdenticalToSyncRefreshPlusReplay) {
   // {1, 4} fallback: each config pays a full offline + background build,
   // so the unset-env sweep stays at one serial and one contended row.
   for (size_t threads : ThreadCountsUnderTest({1, 4})) {
-    for (size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " batch=" + std::to_string(batch));
-      AnoT system = AnoT::Build(*train_, RefreshOptions(threads));
-      std::vector<Scores> prefix_scores;
-      ProcessInChunks(&system, *prefix_, batch, &prefix_scores);
-      ASSERT_FALSE(system.refresh_in_flight());
-      system.RefreshAsync();
-      ASSERT_TRUE(system.refresh_in_flight());
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    AnoT system = AnoT::Build(*train_, RefreshOptions(threads));
+    std::vector<Scores> prefix_scores;
+    ProcessAll(&system, *prefix_, &prefix_scores);
+    ASSERT_FALSE(system.refresh_in_flight());
+    system.RefreshAsync();
+    ASSERT_TRUE(system.refresh_in_flight());
 
-      // Window minus the swap-commit fact: served against the old
-      // structures while the build runs. The build (a full offline
-      // pipeline, >100ms) cannot finish within these ~30 in-process
-      // arrivals (~ms); the assert below would catch it if it ever did.
-      std::vector<Scores> window_scores;
-      std::vector<Fact> pre_swap(window_->begin(), window_->end() - 1);
-      ProcessInChunks(&system, pre_swap, batch, &window_scores);
-      ASSERT_TRUE(system.refresh_in_flight())
-          << "build finished mid-window; widen the build/serve margin";
+    // Window minus the swap-commit fact: served against the old
+    // structures while the build runs. The build (a full offline
+    // pipeline, >100ms) cannot finish within these ~30 in-process
+    // arrivals (~ms); the assert below would catch it if it ever did.
+    std::vector<Scores> window_scores;
+    std::vector<Fact> pre_swap(window_->begin(), window_->end() - 1);
+    ProcessAll(&system, pre_swap, &window_scores);
+    ASSERT_TRUE(system.refresh_in_flight())
+        << "build finished mid-window; widen the build/serve margin";
 
-      // Deterministic swap point: wait for the staged build, then let the
-      // last window fact's commit perform the swap. When batch > 1 the
-      // probes ride in the same chunk, so the swap happens mid-batch and
-      // the probes must be scored against the swapped-in structures.
-      system.WaitForRefreshReady();
-      ASSERT_TRUE(system.RefreshReady());
-      std::vector<Fact> tail;
-      tail.push_back(window_->back());
-      tail.insert(tail.end(), probes_->begin(), probes_->end());
-      std::vector<Scores> tail_scores;
-      ProcessInChunks(&system, tail, batch, &tail_scores);
-      window_scores.push_back(tail_scores.front());
-      std::vector<Scores> probe_scores(tail_scores.begin() + 1,
-                                       tail_scores.end());
-      ASSERT_FALSE(system.refresh_in_flight());
-      EXPECT_EQ(system.refresh_count(), 1u);
+    // Deterministic swap point: wait for the staged build, then let the
+    // last window fact's commit perform the swap; the probes are scored
+    // against the swapped-in structures.
+    system.WaitForRefreshReady();
+    ASSERT_TRUE(system.RefreshReady());
+    std::vector<Fact> tail;
+    tail.push_back(window_->back());
+    tail.insert(tail.end(), probes_->begin(), probes_->end());
+    std::vector<Scores> tail_scores;
+    ProcessAll(&system, tail, &tail_scores);
+    window_scores.push_back(tail_scores.front());
+    std::vector<Scores> probe_scores(tail_scores.begin() + 1,
+                                     tail_scores.end());
+    ASSERT_FALSE(system.refresh_in_flight());
+    EXPECT_EQ(system.refresh_count(), 1u);
 
-      // Window scores: the old structures, bit for bit.
-      ASSERT_EQ(window_scores.size(), ref_window_scores_->size());
-      for (size_t i = 0; i < window_scores.size(); ++i) {
-        ExpectScoresIdentical((*ref_window_scores_)[i], window_scores[i], i);
-      }
-      // Probe scores: the post-swap structures, bit for bit.
-      ASSERT_EQ(probe_scores.size(), ref_probe_scores_->size());
-      for (size_t i = 0; i < probe_scores.size(); ++i) {
-        ExpectScoresIdentical((*ref_probe_scores_)[i], probe_scores[i], i);
-      }
-      // Post-swap structures and build report.
-      EXPECT_EQ(system.rules().ToString(), ref_->rules().ToString());
-      EXPECT_EQ(system.graph().num_facts(), ref_->graph().num_facts());
-      EXPECT_EQ(system.categories().num_categories(),
-                ref_->categories().num_categories());
-      EXPECT_EQ(system.report().negative_bits, ref_->report().negative_bits);
-      EXPECT_EQ(system.report().model_bits, ref_->report().model_bits);
-      EXPECT_EQ(system.report().num_rules, ref_->report().num_rules);
-      EXPECT_EQ(system.report().num_edges, ref_->report().num_edges);
-      // Monitor handoff: reset to the new budget + replayed window.
-      const Monitor expected = ExpectedMonitor();
-      EXPECT_EQ(system.monitor().online_negative_bits(),
-                expected.online_negative_bits());
-      EXPECT_EQ(system.monitor().online_timestamps(),
-                expected.online_timestamps());
-      EXPECT_EQ(system.monitor().ShouldRefresh(), expected.ShouldRefresh());
-      // The swap is a commit boundary: the adopted structures plus the
-      // replayed ingest window must be structurally coherent.
-      ValidateAtCommitBoundary(system);
+    // Window scores: the old structures, bit for bit.
+    ASSERT_EQ(window_scores.size(), ref_window_scores_->size());
+    for (size_t i = 0; i < window_scores.size(); ++i) {
+      ExpectScoresIdentical((*ref_window_scores_)[i], window_scores[i], i);
     }
+    // Probe scores: the post-swap structures, bit for bit.
+    ASSERT_EQ(probe_scores.size(), ref_probe_scores_->size());
+    for (size_t i = 0; i < probe_scores.size(); ++i) {
+      ExpectScoresIdentical((*ref_probe_scores_)[i], probe_scores[i], i);
+    }
+    // Post-swap structures and build report.
+    EXPECT_EQ(system.rules().ToString(), ref_->rules().ToString());
+    EXPECT_EQ(system.graph().num_facts(), ref_->graph().num_facts());
+    EXPECT_EQ(system.categories().num_categories(),
+              ref_->categories().num_categories());
+    EXPECT_EQ(system.report().negative_bits, ref_->report().negative_bits);
+    EXPECT_EQ(system.report().model_bits, ref_->report().model_bits);
+    EXPECT_EQ(system.report().num_rules, ref_->report().num_rules);
+    EXPECT_EQ(system.report().num_edges, ref_->report().num_edges);
+    // Monitor handoff: reset to the new budget + replayed window.
+    const Monitor expected = ExpectedMonitor();
+    EXPECT_EQ(system.monitor().online_negative_bits(),
+              expected.online_negative_bits());
+    EXPECT_EQ(system.monitor().online_timestamps(),
+              expected.online_timestamps());
+    EXPECT_EQ(system.monitor().ShouldRefresh(), expected.ShouldRefresh());
+    // The swap is a commit boundary: the adopted structures plus the
+    // replayed ingest window must be structurally coherent.
+    ValidateAtCommitBoundary(system);
   }
 }
 
@@ -381,7 +371,7 @@ TEST_F(RefreshAsyncFixture, AutoRefreshAsyncKeepsServingWhileRebuilding) {
   stream.insert(stream.end(), window_->begin(), window_->end());
 
   std::vector<Scores> scores;
-  ProcessInChunks(&system, stream, 16, &scores);
+  ProcessAll(&system, stream, &scores);
   EXPECT_EQ(scores.size(), stream.size());
   const bool launched = system.refresh_in_flight();
   system.FinishRefresh();

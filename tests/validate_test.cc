@@ -1,10 +1,12 @@
-// Tests for the ANOT_VALIDATE debug invariant validators: every stateful
-// subsystem exposes CheckInvariants(), which must stay silent on any state
-// reachable through the public API and ANOT_CHECK-fail the moment the
-// structure is corrupted. The death tests fabricate corruption (through the
-// RuleGraph's mutable edge access and the ledger's test-only back door) and
-// pin the failure message, so structural damage fails at the mutation that
-// caused it rather than ten goldens later.
+// Tests for the invariant validators: every stateful subsystem exposes a
+// Status-returning Validate() and an ANOT_VALIDATE CheckInvariants() built
+// on it, which must stay silent on any state reachable through the public
+// API and fail the moment the structure is corrupted. The death tests
+// fabricate corruption (through the RuleGraph's mutable edge access and
+// the ledger's test-only back door), pin the failure message, and check
+// that Validate() reports the same corruption as a Status, so structural
+// damage fails at the mutation that caused it rather than ten goldens
+// later.
 
 #include <gtest/gtest.h>
 
@@ -149,6 +151,7 @@ TEST(RuleGraphValidateDeathTest, UnsortedTimespansAreFatal) {
   // Bypass AddTimespan's sorted insert — the corruption the validator is
   // there to catch (an updater writing through mutable_edge carelessly).
   rg.mutable_edge(id).timespans = {5, 1};
+  EXPECT_FALSE(rg.Validate().ok());
   EXPECT_DEATH(rg.CheckInvariants(), "timespans unsorted");
 }
 
@@ -163,6 +166,7 @@ TEST(RuleGraphValidateDeathTest, DanglingEdgeEndpointIsFatal) {
   edge.timespans = {2};
   const RuleEdgeId id = rg.AddEdge(edge);
   rg.mutable_edge(id).tail = 999;  // no such rule
+  EXPECT_FALSE(rg.Validate().ok());
   EXPECT_DEATH(rg.CheckInvariants(), "references unknown rule");
 }
 
@@ -172,6 +176,7 @@ TEST(LedgerValidateDeathTest, CounterRangeViolationIsFatal) {
   ledger.Apply(5, 3, 1);
   ledger.CheckInvariants();
   ledger.TestOnlyCorruptCountersForValidation(5, 10, 11, 1);
+  EXPECT_FALSE(ledger.Validate().ok());
   EXPECT_DEATH(ledger.CheckInvariants(), "mapped 11 > total 10");
 }
 
@@ -182,6 +187,7 @@ TEST(LedgerValidateDeathTest, StaleCachedCostIsFatal) {
   // Coherent ranges, but the counters moved without a reprice: the cached
   // per-timestamp cost no longer matches a CostAt recompute.
   ledger.TestOnlyCorruptCountersForValidation(5, 10, 7, 2);
+  EXPECT_FALSE(ledger.Validate().ok());
   EXPECT_DEATH(ledger.CheckInvariants(), "cached cost stale");
 }
 
