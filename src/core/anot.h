@@ -51,10 +51,10 @@ struct AnoTOptions {
   /// Execution mode of monitor-triggered refreshes.
   RefreshMode refresh_mode = RefreshMode::kSynchronous;
   /// Worker threads for the offline construction pipeline (category
-  /// function, candidate generation, candidate costing, duration views)
-  /// *and* batched scoring (ScoreBatch). 0 = one worker per hardware
-  /// thread. Built models and batched scores are bit-identical for every
-  /// value.
+  /// function passes, candidate costing, duration views) *and* batched
+  /// scoring (ScoreBatch); candidate generation is serial. 0 = one worker
+  /// per hardware thread. Built models and batched scores are
+  /// bit-identical for every value.
   size_t num_threads = 0;
 
   /// The persisted field list, in checkpoint order (io/checkpoint.cc).

@@ -64,12 +64,8 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
     return cancel != nullptr && cancel->load(std::memory_order_relaxed);
   };
 
-  // One worker pool serves candidate generation and candidate costing.
-  std::unique_ptr<ThreadPool> workers;
-  if (num_threads_ > 1) workers = std::make_unique<ThreadPool>(num_threads_);
-
-  CandidateGenerator generator(graph_, categories_, options_, num_threads_);
-  CandidatePool pool = generator.Generate(workers.get());
+  CandidatePool pool =
+      CandidateGenerator(graph_, categories_, options_).Generate();
   report.num_candidate_rules = pool.rules.size();
   report.num_candidate_edges = pool.edges.size();
   if (cancelled()) return out;
@@ -90,6 +86,8 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
   // Candidate costs and delta histograms are independent per candidate
   // (each task writes only its own slots), so the fill parallelizes
   // without affecting the result.
+  std::unique_ptr<ThreadPool> workers;
+  if (num_threads_ > 1) workers = std::make_unique<ThreadPool>(num_threads_);
   ParallelForShards(workers.get(), pool.rules.size(),
                     DeterministicShardCount(pool.rules.size()),
                     [&](size_t /*shard*/, size_t begin, size_t end) {

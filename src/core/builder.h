@@ -63,10 +63,10 @@ struct BuildReport {
 /// by edges are added as temporal-only nodes (§4.3.3).
 class RuleGraphBuilder {
  public:
-  /// `num_threads` parallelizes candidate generation and per-candidate
-  /// cost computation; the greedy selection passes run serially in rank
-  /// order. 0 = hardware concurrency. Output is bit-identical for every
-  /// thread count.
+  /// `num_threads` parallelizes per-candidate cost computation only:
+  /// candidate generation is one serial scan and the greedy selection
+  /// passes run serially in rank order. 0 = hardware concurrency. Output
+  /// is bit-identical for every thread count.
   RuleGraphBuilder(const TemporalKnowledgeGraph& graph,
                    const CategoryFunction& categories,
                    const DetectorOptions& options, size_t num_threads = 1);

@@ -8,7 +8,6 @@
 #include "rulegraph/rule_graph.h"
 #include "tkg/graph.h"
 #include "util/containers.h"
-#include "util/thread_pool.h"
 
 namespace anot {
 
@@ -94,33 +93,32 @@ struct CandidatePool {
 /// pair's interaction sequence (bounded lookback). Triadic edges: closures
 /// (s,r_m,p), (h,r_n,p) co-occurring within L followed by (s,r_p,h).
 ///
-/// Parallelism: each generation phase partitions its scan domain (facts or
-/// pair sequences) into shards whose boundaries depend only on the data
-/// size. Shards accumulate into private pools — reading the global pool of
-/// the previous phases, which stays frozen during the scan — and are then
-/// merged in shard-index order. First-occurrence order over the shard
-/// concatenation equals the sequential scan order and all entropy costs
-/// are canonical in the symbol multiset, so the resulting pool is
-/// bit-identical for every thread count (including 1).
+/// Generation is serial: each phase is one scan (facts in id order, pair
+/// sequences in key order) that appends rules and edges to the pool in
+/// first-occurrence order and feeds every entropy accumulator in scan
+/// order, so the pool is a pure function of the graph, the category
+/// function and the options. `AnoTOptions::num_threads` parallelizes the
+/// category passes and candidate costing, not this.
 class CandidateGenerator {
  public:
+  /// The fourth parameter is unused: generation runs serially. It is kept
+  /// so existing four-argument callers still compile.
   CandidateGenerator(const TemporalKnowledgeGraph& graph,
                      const CategoryFunction& categories,
-                     const DetectorOptions& options,
-                     size_t num_threads = 1);
+                     const DetectorOptions& options, size_t /*unused*/ = 1);
 
   /// Runs generation. Edges beyond options.max_candidate_edges are dropped
   /// lowest-support-first (deterministically).
   CandidatePool Generate() const;
 
-  /// Same, on a caller-owned pool (nullptr = serial). Lets the builder
-  /// reuse one worker pool across generation and candidate costing.
-  CandidatePool Generate(ThreadPool* workers) const;
-
  private:
-  void GenerateRules(CandidatePool* pool, ThreadPool* workers) const;
-  void GenerateChainEdges(CandidatePool* pool, ThreadPool* workers) const;
-  void GenerateTriadicEdges(CandidatePool* pool, ThreadPool* workers) const;
+  void GenerateRules(CandidatePool* pool) const;
+  /// `edge_index` maps an edge's key to its index in `pool->edges`; the
+  /// chain and triadic phases share it.
+  void GenerateChainEdges(CandidatePool* pool,
+                          dense_map<uint64_t, uint32_t>* edge_index) const;
+  void GenerateTriadicEdges(CandidatePool* pool,
+                            dense_map<uint64_t, uint32_t>* edge_index) const;
 
   // anot-own: stack-scoped generation pass owned by RuleGraphBuilder's
   // Build() frame — the referenced graph/categories/options outlive that
@@ -130,7 +128,6 @@ class CandidateGenerator {
   const CategoryFunction& categories_;
   // anot-own: same Build()-frame contract as graph_.
   const DetectorOptions& options_;
-  size_t num_threads_ = 1;
 };
 
 }  // namespace anot

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
-
-#include "util/logging.h"
 
 namespace anot {
 
@@ -65,22 +62,7 @@ void EntropyAccumulator::Add(uint64_t symbol) {
   ++count;
   sum_clog2c_ += static_cast<double>(count) *
                  std::log2(static_cast<double>(count));
-  if (!log_dropped_) events_.push_back(symbol);
   ++total_;
-}
-
-void EntropyAccumulator::Merge(const EntropyAccumulator& other) {
-  ANOT_CHECK(!log_dropped_ && !other.log_dropped_)
-      << "EntropyAccumulator::Merge after DropReplayLog";
-  // Replaying the events (instead of folding the count table) keeps the
-  // incremental FP sum bitwise equal to a single sequential Add stream.
-  events_.reserve(events_.size() + other.events_.size());
-  for (uint64_t symbol : other.events_) Add(symbol);
-}
-
-void EntropyAccumulator::DropReplayLog() {
-  log_dropped_ = true;
-  std::vector<uint64_t>().swap(events_);  // actually release the capacity
 }
 
 double EntropyAccumulator::TotalBits() const {

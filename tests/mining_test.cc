@@ -256,7 +256,7 @@ TEST_F(CategoryFixture, NewEntityGetsCategoriesViaUpdate) {
 TEST(CategoryFunctionTest, BuildIdenticalAcrossWorkerCounts) {
   // The token pass and the aggregation rounds shard onto a worker pool;
   // ordered merge replay must keep the built function bit-identical to
-  // the serial build (the same contract as candidate generation).
+  // the serial build (the same contract as candidate costing).
   GeneratorConfig cfg;
   cfg.num_entities = 300;
   cfg.num_relations = 24;

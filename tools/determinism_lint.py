@@ -14,8 +14,7 @@ contract are mechanical to spot:
                    inside such a loop: even when the element *set* is fixed,
                    float addition is not associative, so hash order changes
                    the sum bit pattern.  Deterministic float reductions
-                   belong in an EntropyAccumulator-style replay log or a
-                   sorted collect-then-reduce.
+                   belong in a sorted collect-then-reduce.
   pointer-key      std::{map,set,multimap,multiset} keyed by a pointer (or a
                    std::less<T*> comparator): iteration order replays the
                    allocator's address assignment, which varies run to run.
@@ -195,8 +194,7 @@ def lint_file(path: str, text: str, symbols: SymbolTable) -> List[Finding]:
                 "float-accum",
                 f"floating-point reduction into '{accum}' over an unordered "
                 "container: float addition is not associative, so hash order "
-                "changes the sum — use a sorted collect-then-reduce or an "
-                "EntropyAccumulator replay log",
+                "changes the sum — use a sorted collect-then-reduce",
             )
         else:
             emit(
