@@ -9,23 +9,6 @@
 
 namespace anot {
 
-namespace {
-
-std::unique_ptr<TemporalKnowledgeGraph> CopyGraph(
-    const TemporalKnowledgeGraph& src) {
-  auto out = std::make_unique<TemporalKnowledgeGraph>();
-  for (size_t e = 0; e < src.entity_dict().size(); ++e) {
-    out->entity_dict().GetOrAdd(src.entity_dict().Name(e));
-  }
-  for (size_t r = 0; r < src.relation_dict().size(); ++r) {
-    out->relation_dict().GetOrAdd(src.relation_dict().Name(r));
-  }
-  for (const Fact& f : src.facts()) out->AddFact(f);
-  return out;
-}
-
-}  // namespace
-
 /// One double-buffered rebuild. The worker thread touches only this
 /// struct (snapshot in, built structures out) — never the owning AnoT,
 /// whose address changes under moves. This is a lock-free single-producer
@@ -78,7 +61,7 @@ AnoT AnoT::Build(const TemporalKnowledgeGraph& offline,
     // Table 3 ablation: skip the aggregation passes entirely.
     anot.options_->detector.category.max_aggregation_rounds = 0;
   }
-  anot.graph_ = CopyGraph(offline);
+  anot.graph_ = std::make_unique<TemporalKnowledgeGraph>(offline);
   anot.Rebuild();
   return anot;
 }
@@ -223,7 +206,7 @@ void AnoT::Refresh() {
 void AnoT::RefreshAsync() {
   if (async_ != nullptr) return;  // coalesce: already in flight or staged
   async_ = std::make_unique<AsyncRefresh>();
-  async_->snapshot = CopyGraph(*graph_);
+  async_->snapshot = std::make_unique<TemporalKnowledgeGraph>(*graph_);
   refresh_replay_facts_.clear();
   refresh_replay_observations_.clear();
   // The worker owns only the heap-held AsyncRefresh (stable across moves

@@ -8,7 +8,6 @@
 namespace anot {
 
 namespace {
-const std::vector<FactId> kEmptyFactList;
 const TemporalKnowledgeGraph::TokenSet kEmptyTokenSet;
 }  // namespace
 
@@ -60,16 +59,12 @@ FactId TemporalKnowledgeGraph::AddFact(const Fact& fact) {
   by_time_[fact.time].push_back(id);
   InsertSortedByTime(&pair_index_[PairKey(fact.subject, fact.object)], id);
   InsertSortedByTime(&subject_index_[fact.subject], id);
-  InsertSortedByTime(&object_index_[fact.object], id);
 
   if (relation_tokens_.size() < num_entities_) {
     relation_tokens_.resize(num_entities_);
   }
   relation_tokens_[fact.subject].insert(OutRelationToken(fact.relation));
   relation_tokens_[fact.object].insert(InRelationToken(fact.relation));
-
-  ++triple_counts_[Triple{fact.subject, fact.relation, fact.object}];
-  fact_set_.insert(fact);
   return id;
 }
 
@@ -90,12 +85,6 @@ FactId TemporalKnowledgeGraph::AddFact(std::string_view subject,
   return AddFact(Fact(s, r, o, start, end));
 }
 
-const std::vector<FactId>& TemporalKnowledgeGraph::FactsAt(
-    Timestamp t) const {
-  auto it = by_time_.find(t);
-  return it == by_time_.end() ? kEmptyFactList : it->second;
-}
-
 const std::vector<FactId>* TemporalKnowledgeGraph::FactsForPair(
     EntityId s, EntityId o) const {
   auto it = pair_index_.find(PairKey(s, o));
@@ -108,12 +97,6 @@ const std::vector<FactId>* TemporalKnowledgeGraph::FactsBySubject(
   return it == subject_index_.end() ? nullptr : &it->second;
 }
 
-const std::vector<FactId>* TemporalKnowledgeGraph::FactsByObject(
-    EntityId e) const {
-  auto it = object_index_.find(e);
-  return it == object_index_.end() ? nullptr : &it->second;
-}
-
 const TemporalKnowledgeGraph::TokenSet& TemporalKnowledgeGraph::RelationTokens(
     EntityId e) const {
   if (e >= relation_tokens_.size()) return kEmptyTokenSet;
@@ -121,32 +104,32 @@ const TemporalKnowledgeGraph::TokenSet& TemporalKnowledgeGraph::RelationTokens(
 }
 
 bool TemporalKnowledgeGraph::Contains(const Fact& fact) const {
-  return fact_set_.count(fact) > 0;
+  const std::vector<FactId>* seq = FactsForPair(fact.subject, fact.object);
+  if (seq == nullptr) return false;
+  auto it = std::lower_bound(
+      seq->begin(), seq->end(), fact.time,
+      [this](FactId lhs, Timestamp t) { return facts_[lhs].time < t; });
+  for (; it != seq->end() && facts_[*it].time == fact.time; ++it) {
+    if (facts_[*it] == fact) return true;
+  }
+  return false;
 }
 
 bool TemporalKnowledgeGraph::ContainsTriple(EntityId s, RelationId r,
                                             EntityId o) const {
-  return triple_counts_.count(Triple{s, r, o}) > 0;
-}
-
-uint32_t TemporalKnowledgeGraph::TripleCount(EntityId s, RelationId r,
-                                             EntityId o) const {
-  auto it = triple_counts_.find(Triple{s, r, o});
-  return it == triple_counts_.end() ? 0 : it->second;
+  const std::vector<FactId>* seq = FactsForPair(s, o);
+  if (seq == nullptr) return false;
+  return std::any_of(seq->begin(), seq->end(),
+                     [this, r](FactId id) { return facts_[id].relation == r; });
 }
 
 void TemporalKnowledgeGraph::Reserve(size_t expected_facts) {
   facts_.reserve(expected_facts);
-  // Distinct facts / triples can approach the fact count, so their tables
-  // get the full bound (zero rehashes during the load).
-  fact_set_.reserve(expected_facts);
-  triple_counts_.reserve(expected_facts);
   // Distinct pairs and entities sit well below the fact count on every
   // real TKG; heuristic pre-sizes absorb most growth without committing
   // a fact-count slot array per index (growth still works past them).
   pair_index_.reserve(expected_facts / 2 + 1);
   subject_index_.reserve(expected_facts / 8 + 1);
-  object_index_.reserve(expected_facts / 8 + 1);
 }
 
 std::string TemporalKnowledgeGraph::EntityName(EntityId e) const {
@@ -205,21 +188,15 @@ void TemporalKnowledgeGraph::CheckInvariants() const {
   std::map<Timestamp, std::vector<FactId>> want_by_time;
   dense_map<uint64_t, std::vector<FactId>> want_pairs;
   dense_map<EntityId, std::vector<FactId>> want_subjects;
-  dense_map<EntityId, std::vector<FactId>> want_objects;
-  dense_map<Triple, uint32_t, TripleHash> want_triples;
 
   for (FactId id = 0; id < facts_.size(); ++id) {
     const Fact& f = facts_[id];
     want_by_time[f.time].push_back(id);
     want_pairs[PairKey(f.subject, f.object)].push_back(id);
     want_subjects[f.subject].push_back(id);
-    want_objects[f.object].push_back(id);
-    ++want_triples[Triple{f.subject, f.relation, f.object}];
-    ANOT_CHECK(fact_set_.count(f) > 0)
-        << "fact " << id << " missing from the membership set";
   }
   // by_time_ buckets are push_back'd in arrival (= id) order, exactly how
-  // the recompute appends them; the pair/role lists are stably sorted by
+  // the recompute appends them; the pair/subject lists are stably sorted by
   // (time, id), so sort the recomputed lists the same way before the exact
   // comparison — equality then covers content and order at once.
   ANOT_CHECK(by_time_ == want_by_time) << "by-time index diverged";
@@ -240,12 +217,6 @@ void TemporalKnowledgeGraph::CheckInvariants() const {
   // anot-lint: ordered-ok validation only: per-bucket in-place sort,
   // order-independent
   for (auto& [e, list] : want_subjects) {
-    (void)e;
-    sort_by_time_id(&list);
-  }
-  // anot-lint: ordered-ok validation only: per-bucket in-place sort,
-  // order-independent
-  for (auto& [e, list] : want_objects) {
     (void)e;
     sort_by_time_id(&list);
   }
@@ -280,21 +251,15 @@ void TemporalKnowledgeGraph::CheckInvariants() const {
                return true;
              }())
       << "pair index diverged";
-  auto check_role_index =
-      [](const dense_map<EntityId, std::vector<FactId>>& got,
-         const dense_map<EntityId, std::vector<FactId>>& want,
-         const char* what) {
-        ANOT_CHECK(got.size() == want.size()) << what << " size diverged";
-        // anot-lint: ordered-ok validation only: per-entity lookup and
-        // compare, order-independent
-        for (const auto& [e, list] : want) {
-          auto it = got.find(e);
-          ANOT_CHECK(it != got.end() && it->second == list)
-              << what << " diverged for entity " << e;
-        }
-      };
-  check_role_index(subject_index_, want_subjects, "subject index");
-  check_role_index(object_index_, want_objects, "object index");
+  ANOT_CHECK(subject_index_.size() == want_subjects.size())
+      << "subject index size diverged";
+  // anot-lint: ordered-ok validation only: per-entity lookup and compare,
+  // order-independent
+  for (const auto& [e, list] : want_subjects) {
+    auto it = subject_index_.find(e);
+    ANOT_CHECK(it != subject_index_.end() && it->second == list)
+        << "subject index diverged for entity " << e;
+  }
 
   ANOT_CHECK(relation_tokens_.size() == num_entities_)
       << "relation-token table size diverged";
@@ -306,17 +271,6 @@ void TemporalKnowledgeGraph::CheckInvariants() const {
   for (EntityId e = 0; e < num_entities_; ++e) {
     ANOT_CHECK(relation_tokens_[e] == want_tokens[e])
         << "relation tokens diverged for entity " << e;
-  }
-
-  ANOT_CHECK(triple_counts_.size() == want_triples.size())
-      << "triple-count table size diverged";
-  // anot-lint: ordered-ok validation only: per-triple lookup and compare,
-  // order-independent
-  for (const auto& [triple, count] : want_triples) {
-    auto it = triple_counts_.find(triple);
-    ANOT_CHECK(it != triple_counts_.end() && it->second == count)
-        << "triple count diverged for (" << triple.subject << ", "
-        << triple.relation << ", " << triple.object << ")";
   }
 #endif  // ANOT_VALIDATE
 }

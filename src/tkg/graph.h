@@ -15,17 +15,21 @@ namespace anot {
 /// \brief In-memory temporal knowledge graph G = (E, R, T, F).
 ///
 /// The store is append-only (facts are never removed; real TKGs only grow,
-/// see paper §3.1) and maintains the secondary indexes every AnoT component
-/// needs:
+/// see paper §3.1) and maintains exactly the secondary indexes the detector
+/// reads:
 ///
-///  * by-timestamp index                      — candidate generation, monitor
-///  * per-(s,o)-pair interaction sequences    — chain-occurring patterns
-///  * per-entity subject/object fact lists    — triadic patterns, baselines
+///  * by-timestamp index                      — splits, the MDL ledger's
+///                                              per-timestamp totals,
+///                                              baselines
+///  * per-(s,o)-pair interaction sequences    — chain-occurring patterns,
+///                                              Contains/ContainsTriple
+///  * per-entity subject fact lists           — triadic patterns
 ///  * per-entity directed relation token sets — category mining (R(e))
-///  * (s,r,o) triple counts                   — membership and statistics
 ///
 /// All indexes are updated incrementally by AddFact, which is what makes
 /// the online updater O(|C(s)|·|C(o)| + f_max) per new fact (paper §4.6).
+/// Every member is a value type, so the copy constructor yields an
+/// independent graph with the same indexes in the same insertion order.
 ///
 /// Thread compatibility: const methods are safe to call concurrently;
 /// AddFact requires external synchronization.
@@ -60,9 +64,6 @@ class TemporalKnowledgeGraph {
     return facts_[id];
   }
 
-  /// Facts observed at exactly timestamp t (empty if none).
-  const std::vector<FactId>& FactsAt(Timestamp t) const ANOT_LIFETIME_BOUND;
-
   /// All observed timestamps in ascending order with their facts.
   const std::map<Timestamp, std::vector<FactId>>& by_time() const
       ANOT_LIFETIME_BOUND {
@@ -83,10 +84,8 @@ class TemporalKnowledgeGraph {
     return pair_index_;
   }
 
-  /// Facts with `e` as subject / object, sorted by (time, id).
+  /// Facts with `e` as subject, sorted by (time, id).
   const std::vector<FactId>* FactsBySubject(EntityId e) const
-      ANOT_LIFETIME_BOUND;
-  const std::vector<FactId>* FactsByObject(EntityId e) const
       ANOT_LIFETIME_BOUND;
 
   /// Directed relation tokens R(e) the entity has interacted with
@@ -97,17 +96,18 @@ class TemporalKnowledgeGraph {
   using TokenSet = sorted_small_set<uint32_t, 8>;
   const TokenSet& RelationTokens(EntityId e) const ANOT_LIFETIME_BOUND;
 
-  /// Exact membership of a (s, r, o, t[, end]) fact.
+  /// Exact membership of a (s, r, o, t[, end]) fact. Answered from the
+  /// pair sequence: binary search to `time`, then a scan of its equal-time
+  /// run.
   bool Contains(const Fact& fact) const;
-  /// Whether the triple (s, r, o) occurs at any timestamp.
+  /// Whether the triple (s, r, o) occurs at any timestamp (a scan of the
+  /// (s, o) pair sequence).
   bool ContainsTriple(EntityId s, RelationId r, EntityId o) const;
-  /// Number of facts carrying the triple (s, r, o).
-  uint32_t TripleCount(EntityId s, RelationId r, EntityId o) const;
 
-  /// Pre-sizes the fact log and every hash-backed secondary index for
-  /// `expected_facts` appends, so bulk loads (TkgIo::LoadTsv) avoid
-  /// rehash/regrow churn. The by-time index is tree-backed and needs no
-  /// reservation. Safe to call at any point; never shrinks.
+  /// Pre-sizes the fact log and the pair and subject indexes for
+  /// `expected_facts` appends, so bulk loads (TkgIo::LoadTsv, checkpoint
+  /// load) avoid rehash/regrow churn. The by-time index is tree-backed and
+  /// needs no reservation. Safe to call at any point; never shrinks.
   void Reserve(size_t expected_facts);
 
   Timestamp min_time() const { return min_time_; }
@@ -142,10 +142,9 @@ class TemporalKnowledgeGraph {
 
   /// Debug validator (compiled behind ANOT_VALIDATE, no-op otherwise):
   /// Validate() plus a recompute of every secondary index from facts_,
-  /// ANOT_CHECK-failing on the first divergence — bucket/pair/role lists
-  /// complete and sorted by (time, id), relation-token sets exact, triple
-  /// counts exact. O(|F| log |F|); call at commit boundaries in tests,
-  /// not per arrival.
+  /// ANOT_CHECK-failing on the first divergence — bucket/pair/subject
+  /// lists complete and sorted by (time, id), relation-token sets exact.
+  /// O(|F| log |F|); call at commit boundaries in tests, not per arrival.
   void CheckInvariants() const;
 
  private:
@@ -158,16 +157,13 @@ class TemporalKnowledgeGraph {
 
   // by_time_ stays a std::map: split/monitor/candidate passes consume it
   // through ordered ascending iteration, which a hash table cannot serve
-  // without a sort per scan. The five hash-backed indexes below are
-  // dense_map/dense_set (open addressing, contiguous slots) — the
-  // scorer/updater hot path probes them per arrival.
+  // without a sort per scan. The two hash-backed indexes below are
+  // dense_maps (open addressing, contiguous slots) — the scorer/updater
+  // hot path probes them per arrival.
   std::map<Timestamp, std::vector<FactId>> by_time_;
   dense_map<uint64_t, std::vector<FactId>> pair_index_;
   dense_map<EntityId, std::vector<FactId>> subject_index_;
-  dense_map<EntityId, std::vector<FactId>> object_index_;
   std::vector<TokenSet> relation_tokens_;
-  dense_map<Triple, uint32_t, TripleHash> triple_counts_;
-  dense_set<Fact, FactHash> fact_set_;
 
   Dictionary entity_dict_;
   Dictionary relation_dict_;

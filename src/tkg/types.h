@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 
 namespace anot {
@@ -54,18 +53,6 @@ struct Fact {
   }
 };
 
-/// \brief (s, r, o) triple identity, used for ContainsTriple lookups.
-struct Triple {
-  EntityId subject;
-  RelationId relation;
-  EntityId object;
-
-  bool operator==(const Triple& other) const {
-    return subject == other.subject && relation == other.relation &&
-           object == other.object;
-  }
-};
-
 /// Directed relation token: entity category mining distinguishes an entity
 /// appearing as the *subject* of r from appearing as the *object* of r
 /// (the paper's [Born_out] vs [Born_in] in Figure 3).
@@ -86,21 +73,5 @@ inline uint64_t HashMix(uint64_t z) {
   return z ^ (z >> 31);
 }
 }  // namespace internal
-
-struct TripleHash {
-  size_t operator()(const Triple& t) const {
-    uint64_t h = internal::HashMix(PairKey(t.subject, t.object));
-    return internal::HashMix(h ^ (static_cast<uint64_t>(t.relation) << 1));
-  }
-};
-
-struct FactHash {
-  size_t operator()(const Fact& f) const {
-    uint64_t h = internal::HashMix(PairKey(f.subject, f.object));
-    h = internal::HashMix(h ^ (static_cast<uint64_t>(f.relation) << 1));
-    h = internal::HashMix(h ^ static_cast<uint64_t>(f.time));
-    return internal::HashMix(h ^ static_cast<uint64_t>(f.end) * 31u);
-  }
-};
 
 }  // namespace anot

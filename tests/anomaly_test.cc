@@ -174,6 +174,61 @@ TEST(InjectorTest, DurationPerturbationKeepsStartBeforeEnd) {
   EXPECT_GT(time_errors, 0u);
 }
 
+// FNV-1a over every field of every arrival and missing candidate, in
+// stream order. Mixing field by field keeps struct padding out of it.
+uint64_t StreamFingerprint(const EvalStream& stream) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto* list : {&stream.arrivals, &stream.missing_candidates}) {
+    mix(list->size());
+    for (const LabeledFact& lf : *list) {
+      mix(lf.fact.subject);
+      mix(lf.fact.relation);
+      mix(lf.fact.object);
+      mix(static_cast<uint64_t>(lf.fact.time));
+      mix(static_cast<uint64_t>(lf.fact.end));
+      mix(static_cast<uint64_t>(lf.label));
+      mix(lf.source);
+    }
+  }
+  return h;
+}
+
+// Golden: the injector's membership probes (ContainsTriple for conceptual
+// perturbations and negatives, Contains for time perturbations) decide
+// which RNG draws are kept, so any change in what they answer shifts the
+// whole stream. The constants pin the injected streams bit for bit.
+TEST_F(InjectorFixture, InjectedStreamGolden) {
+  AnomalyInjector injector(InjectorConfig{});
+  const EvalStream stream = injector.Inject(*graph_, split_.test);
+  EXPECT_EQ(StreamFingerprint(stream), 0xaba1e53c28e9ecd4ULL);
+}
+
+TEST(InjectorTest, InjectedDurationStreamGolden) {
+  GeneratorConfig cfg;
+  cfg.num_entities = 100;
+  cfg.num_relations = 12;
+  cfg.num_timestamps = 80;
+  cfg.num_facts = 3000;
+  cfg.durations = true;
+  cfg.mean_duration = 20.0;
+  SyntheticGenerator gen(cfg);
+  auto graph = gen.Generate();
+  ASSERT_TRUE(graph->has_durations());
+  TimeSplit split = SplitByTimestamps(*graph, 0.6, 0.1);
+
+  InjectorConfig icfg;
+  icfg.perturb_durations = true;
+  AnomalyInjector injector(icfg);
+  const EvalStream stream = injector.Inject(*graph, split.test);
+  EXPECT_EQ(StreamFingerprint(stream), 0x8d06785327a6bd8aULL);
+}
+
 TEST(InjectorTest, TypeNamesAreStable) {
   EXPECT_STREQ(AnomalyTypeName(AnomalyType::kValid), "valid");
   EXPECT_STREQ(AnomalyTypeName(AnomalyType::kConceptual), "conceptual");
