@@ -4,7 +4,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
+#include <tuple>
+#include <vector>
 
 #include "core/anot.h"
 #include "core/duration.h"
@@ -296,6 +300,62 @@ void BM_StaticAndTemporalScoring(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StaticAndTemporalScoring);
+
+// Rule mapping (c_s, r, c_o) lookups on a rule graph the updater grew
+// over the test stream, where mapping fans out widest. Before any timing,
+// every mapping must equal the one-probe-per-category-pair reference: a
+// fast but wrong index must fail the benchmark, not win it.
+void BM_MapToRules(benchmark::State& state) {
+  TimeSplit split = SplitByTimestamps(SharedGraph(), 0.6, 0.1);
+  auto train = Subgraph(SharedGraph(), split.train);
+  AnoTOptions options;
+  options.detector.timespan_tolerance = 10;
+  AnoT system = AnoT::Build(*train, options);
+  std::vector<Fact> stream;
+  for (FactId id : split.test) stream.push_back(SharedGraph().fact(id));
+  for (const Fact& f : stream) system.ProcessArrival(f);
+
+  const Scorer scorer(&system.graph(), &system.categories(), &system.rules(),
+                      &system.options().detector);
+  std::map<std::tuple<CategoryId, RelationId, CategoryId>, RuleId> table;
+  for (RuleId id = 0; id < system.rules().num_rules(); ++id) {
+    const AtomicRule& r = system.rules().rule(id);
+    table.emplace(std::make_tuple(r.subject_category, r.relation,
+                                  r.object_category),
+                  id);
+  }
+  size_t pairs = 0;
+  for (const Fact& f : stream) {
+    std::vector<RuleId> want;
+    for (CategoryId cs : system.categories().Categories(f.subject)) {
+      for (CategoryId co : system.categories().Categories(f.object)) {
+        ++pairs;
+        auto it = table.find(std::make_tuple(cs, f.relation, co));
+        if (it != table.end()) want.push_back(it->second);
+      }
+    }
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    const small_vec<RuleId, 8> got = scorer.MapToRules(f);
+    if (!std::equal(got.begin(), got.end(), want.begin(), want.end())) {
+      state.SkipWithError(
+          "rule mapping differs from the reference; timings are meaningless");
+      return;
+    }
+  }
+
+  size_t i = 0;
+  for (auto _ : state) {
+    const small_vec<RuleId, 8> mapped =
+        scorer.MapToRules(stream[i++ % stream.size()]);
+    benchmark::DoNotOptimize(mapped.begin());
+  }
+  state.counters["rules"] = static_cast<double>(system.rules().num_rules());
+  state.counters["pairs_per_fact"] =
+      static_cast<double>(pairs) / static_cast<double>(stream.size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MapToRules);
 
 // Worst per-arrival stall while a rule-graph refresh runs. Synchronous
 // mode pays the entire rebuild inside the arrival that triggered it;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 
 #include "mining/category_function.h"
 #include "tkg/types.h"
@@ -86,13 +87,14 @@ struct DetectorOptions {
   TimeAnchor tail_anchor = TimeAnchor::kStart;
 
   /// The persisted field list, in checkpoint order (io/checkpoint.cc). An
-  /// enum field names its largest enumerator, the bound a reader enforces.
+  /// enum field names its largest enumerator, the bound a reader enforces;
+  /// the bound on L makes a reader reject a negative tolerance.
   template <class V>
   void Fields(V& v) {
     category.Fields(v);
     v(max_candidate_edges);
     v(max_recursion_steps);
-    v(timespan_tolerance);
+    v(timespan_tolerance, std::numeric_limits<Timestamp>::max());
     v(lambda);
     v(max_pair_lag);
     v(max_instantiation_scan);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -34,11 +35,9 @@ bool Scorer::RuleMatchesFact(const AtomicRule& rule, EntityId subject,
 
 small_vec<RuleId, 8> Scorer::MapToRules(const Fact& fact) const {
   small_vec<RuleId, 8> mapped;
+  const auto& object_cats = categories_->Categories(fact.object);
   for (CategoryId cs : categories_->Categories(fact.subject)) {
-    for (CategoryId co : categories_->Categories(fact.object)) {
-      auto id = rules_->FindRule(AtomicRule{cs, fact.relation, co});
-      if (id.has_value()) mapped.push_back(*id);
-    }
+    rules_->AppendRules(cs, fact.relation, object_cats, &mapped);
   }
   std::sort(mapped.begin(), mapped.end());
   mapped.erase(std::unique(mapped.begin(), mapped.end()), mapped.end());
@@ -50,14 +49,21 @@ double Scorer::RuleWeight(RuleId rule) const {
   return std::max<uint32_t>(1, rules_->support(rule));
 }
 
-uint32_t Scorer::CountAgreements(const RuleEdge& edge,
-                                 Timestamp delta) const {
-  const Timestamp tolerance = options_->timespan_tolerance;
-  uint32_t agree = 0;
-  for (Timestamp span : edge.timespans) {
-    if (std::llabs(span - delta) <= tolerance) ++agree;
+uint32_t CountAgreements(const RuleEdge& edge, Timestamp delta,
+                         Timestamp tolerance) {
+  const auto& spans = edge.timespans;
+  Timestamp lo = 0;
+  Timestamp hi = 0;
+  if (__builtin_sub_overflow(delta, tolerance, &lo)) {
+    lo = std::numeric_limits<Timestamp>::min();
   }
-  return agree;
+  if (__builtin_add_overflow(delta, tolerance, &hi)) {
+    hi = std::numeric_limits<Timestamp>::max();
+  }
+  const auto first = std::lower_bound(spans.begin(), spans.end(), lo);
+  // Searching from `first` makes a negative tolerance (hi < lo) count 0.
+  return static_cast<uint32_t>(std::upper_bound(first, spans.end(), hi) -
+                               first);
 }
 
 double Scorer::EvidenceWeight(const RuleEdge& edge,
@@ -103,7 +109,8 @@ std::optional<Instantiation> Scorer::TryInstantiate(
         continue;
       }
       Instantiation inst{*it, tail_time - head_time, 0};
-      inst.agreements = CountAgreements(edge, inst.delta);
+      inst.agreements =
+          CountAgreements(edge, inst.delta, options_->timespan_tolerance);
       if (!best.has_value() || inst.agreements > best->agreements) {
         best = inst;
       }
@@ -143,7 +150,8 @@ std::optional<Instantiation> Scorer::TryInstantiate(
         continue;
       }
       Instantiation inst{*it, tail_time - std::max(t1, t2), 0};
-      inst.agreements = CountAgreements(edge, inst.delta);
+      inst.agreements =
+          CountAgreements(edge, inst.delta, options_->timespan_tolerance);
       if (!best.has_value() || inst.agreements > best->agreements) {
         best = inst;
       }

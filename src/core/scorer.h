@@ -82,6 +82,14 @@ struct Instantiation {
   uint32_t agreements = 0;
 };
 
+/// Number of preserved timespans τ ∈ T(e) with |τ - delta| <= tolerance.
+/// T(e) is ascending (RuleGraph::ValidateEdge), so the agreeing spans are
+/// one run found by two binary searches; the run's bounds saturate at the
+/// Timestamp limits instead of overflowing. A negative tolerance agrees
+/// with nothing.
+uint32_t CountAgreements(const RuleEdge& edge, Timestamp delta,
+                         Timestamp tolerance);
+
 /// \brief Derives static and temporal scores by walking the rule graph.
 ///
 /// The scorer borrows (does not own) the TKG, the category function and
@@ -137,7 +145,6 @@ class Scorer {
   EdgeEvidence EvidenceForEdge(RuleEdgeId edge_id, const Fact& fact,
                                int depth, Walk* walk,
                                Evidence* evidence) const;
-  uint32_t CountAgreements(const RuleEdge& edge, Timestamp delta) const;
   /// Evidence weight x of Eq. 10 for one instantiation, per ThetaMode.
   double EvidenceWeight(const RuleEdge& edge,
                         const Instantiation& inst) const;

@@ -50,7 +50,8 @@ class ByteWriter {
     std::memcpy(&bits, &v, sizeof(bits));
     (*this)(bits);
   }
-  /// A bounded field (an enum, num_threads): the bound is the reader's.
+  /// A bounded field (an enum, num_threads, the timespan tolerance): the
+  /// bound is the reader's.
   template <class T>
   void operator()(T v, T /*max*/) {
     (*this)(static_cast<Stored<T>>(v));
@@ -82,7 +83,8 @@ class ByteWriter {
 /// yields zero, so a truncated or corrupt payload can never become UB and a
 /// section checks ok() once, before it uses what it read. Decoded fields
 /// obey the uniform rules: a bool is 0 or 1, a double is finite, and a
-/// bounded field (an enum, num_threads) does not exceed its bound.
+/// bounded field (an enum, num_threads, the timespan tolerance) lies in
+/// [0, bound].
 class ByteReader {
  public:
   // anot-own: borrows the checkpoint byte buffer owned by Load()'s stack
@@ -112,6 +114,9 @@ class ByteReader {
     Stored<T> raw{};
     (*this)(raw);
     if (raw > static_cast<Stored<T>>(max)) return Fail("value out of range");
+    if constexpr (std::is_signed_v<Stored<T>>) {
+      if (raw < 0) return Fail("value out of range");
+    }
     v = static_cast<T>(raw);
   }
 

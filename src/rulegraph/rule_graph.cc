@@ -9,7 +9,12 @@ namespace anot {
 
 namespace {
 const RuleGraph::EdgeList kNoEdges;
-}
+
+/// Orders rule-index entries by object category.
+constexpr auto kByObjectCategory = [](const auto& keyed, CategoryId c) {
+  return keyed.object_category < c;
+};
+}  // namespace
 
 Status AtomicRule::ValidateIds(size_t num_categories,
                                size_t num_relations) const {
@@ -23,10 +28,26 @@ Status AtomicRule::ValidateIds(size_t num_categories,
   return Status::OK();
 }
 
+uint64_t RuleGraph::RunKey(RelationId relation, CategoryId subject_category) {
+  return (static_cast<uint64_t>(relation) << 32) | subject_category;
+}
+
+const RuleGraph::KeyedRule* RuleGraph::LowerBound(
+    const RuleRun& run, CategoryId object_category) const {
+  const KeyedRule* first = keyed_rules_.data() + run.begin;
+  return std::lower_bound(first, first + run.size, object_category,
+                          kByObjectCategory);
+}
+
 RuleId RuleGraph::AddRule(const AtomicRule& rule, bool static_selected) {
-  auto it = rule_index_.find(rule);
-  if (it != rule_index_.end()) {
-    const RuleId id = it->second;
+  RuleRun& run = rule_runs_.try_emplace(RunKey(rule.relation,
+                                               rule.subject_category))
+                     .first->second;
+  const KeyedRule* pos = LowerBound(run, rule.object_category);
+  size_t at = static_cast<size_t>(pos - keyed_rules_.data());
+  if (at < run.begin + run.size &&
+      pos->object_category == rule.object_category) {
+    const RuleId id = pos->rule;
     if (static_selected && !static_selected_[id]) {
       static_selected_[id] = true;
       ++num_static_;
@@ -41,14 +62,52 @@ RuleId RuleGraph::AddRule(const AtomicRule& rule, bool static_selected) {
   num_static_ += static_selected ? 1 : 0;
   in_edges_.emplace_back();
   out_edges_.emplace_back();
-  rule_index_.emplace(rule, id);
+
+  if (run.size == run.capacity) {
+    const size_t begin = keyed_rules_.size();
+    const size_t capacity = std::max<size_t>(1, 2 * size_t{run.capacity});
+    ANOT_CHECK(begin + capacity < kInvalidId) << "rule index store full";
+    keyed_rules_.resize(begin + capacity);
+    std::copy_n(keyed_rules_.begin() + run.begin, run.size,
+                keyed_rules_.begin() + begin);
+    at += begin - run.begin;
+    run.begin = static_cast<uint32_t>(begin);
+    run.capacity = static_cast<uint32_t>(capacity);
+  }
+  const auto first = keyed_rules_.begin() + run.begin;
+  std::copy_backward(keyed_rules_.begin() + at, first + run.size,
+                     first + run.size + 1);
+  keyed_rules_[at] = KeyedRule{rule.object_category, id};
+  ++run.size;
   return id;
 }
 
 std::optional<RuleId> RuleGraph::FindRule(const AtomicRule& rule) const {
-  auto it = rule_index_.find(rule);
-  if (it == rule_index_.end()) return std::nullopt;
-  return it->second;
+  auto it = rule_runs_.find(RunKey(rule.relation, rule.subject_category));
+  if (it == rule_runs_.end()) return std::nullopt;
+  const RuleRun& run = it->second;
+  const KeyedRule* pos = LowerBound(run, rule.object_category);
+  if (pos == keyed_rules_.data() + run.begin + run.size ||
+      pos->object_category != rule.object_category) {
+    return std::nullopt;
+  }
+  return pos->rule;
+}
+
+void RuleGraph::AppendRules(CategoryId subject_category, RelationId relation,
+                            const std::vector<CategoryId>& object_categories,
+                            small_vec<RuleId, 8>* out) const {
+  auto it = rule_runs_.find(RunKey(relation, subject_category));
+  if (it == rule_runs_.end()) return;
+  const RuleRun& run = it->second;
+  const KeyedRule* pos = keyed_rules_.data() + run.begin;
+  const KeyedRule* end = pos + run.size;
+  // Both lists ascend, so each search resumes where the previous stopped.
+  for (CategoryId co : object_categories) {
+    pos = std::lower_bound(pos, end, co, kByObjectCategory);
+    if (pos == end) return;
+    if (pos->object_category == co) out->push_back(pos->rule);
+  }
 }
 
 uint64_t RuleGraph::EdgeKey(RuleEdgeKind kind, RuleId head, RuleId mid,
@@ -163,12 +222,31 @@ void RuleGraph::CheckInvariants() const {
 #ifdef ANOT_VALIDATE
   ANOT_CHECK_OK(Validate());
   const size_t n = rules_.size();
-  ANOT_CHECK(rule_index_.size() == n) << "rule index size diverged";
-  // anot-lint: ordered-ok validation only: each entry's round-trip check is
-  // independent of every other entry, so iteration order cannot change the
+  size_t indexed = 0;
+  // anot-lint: ordered-ok validation only: each run's checks are
+  // independent of every other run, so iteration order cannot change the
   // verdict
-  for (const auto& [rule, id] : rule_index_) {
-    ANOT_CHECK(id < n && rules_[id] == rule)
+  for (const auto& [key, run] : rule_runs_) {
+    ANOT_CHECK(run.size <= run.capacity &&
+               size_t{run.begin} + run.capacity <= keyed_rules_.size())
+        << "rule run out of the store";
+    for (uint32_t i = 0; i < run.size; ++i) {
+      const KeyedRule& k = keyed_rules_[run.begin + i];
+      ANOT_CHECK(k.rule < n &&
+                 RunKey(rules_[k.rule].relation,
+                        rules_[k.rule].subject_category) == key &&
+                 rules_[k.rule].object_category == k.object_category)
+          << "rule index entry does not match rule " << k.rule;
+      ANOT_CHECK(i == 0 || keyed_rules_[run.begin + i - 1].object_category <
+                               k.object_category)
+          << "rule run not strictly ascending";
+    }
+    indexed += run.size;
+  }
+  ANOT_CHECK(indexed == n) << "rule index size diverged";
+  for (RuleId id = 0; id < n; ++id) {
+    const std::optional<RuleId> found = FindRule(rules_[id]);
+    ANOT_CHECK(found.has_value() && *found == id)
         << "rule index does not round-trip for rule " << id;
   }
   size_t want_static = 0;

@@ -94,6 +94,14 @@ class RuleGraph {
   /// Id lookup; nullopt when the rule is not a node.
   std::optional<RuleId> FindRule(const AtomicRule& rule) const;
 
+  /// Appends to `out` the id of every rule (subject_category, relation,
+  /// c_o) with c_o in `object_categories`, in the order of that list,
+  /// which must be ascending. Costs one probe plus a merge of two sorted
+  /// lists, not one probe per object category.
+  void AppendRules(CategoryId subject_category, RelationId relation,
+                   const std::vector<CategoryId>& object_categories,
+                   small_vec<RuleId, 8>* out) const;
+
   /// Adds an edge; merges timespans into an existing identical edge. A
   /// new edge must pass ValidateEdge once its timespans are sorted.
   RuleEdgeId AddEdge(const RuleEdge& edge);
@@ -156,20 +164,43 @@ class RuleGraph {
 
   /// Debug validator (compiled behind ANOT_VALIDATE, no-op otherwise):
   /// Validate() plus the indexes AddRule/AddEdge maintain — rule/edge
-  /// index round-trips, the num_static_ count, and exact in/out adjacency
-  /// membership. ANOT_CHECK-fails on the first violation.
+  /// index round-trips, ascending rule runs, the num_static_ count, and
+  /// exact in/out adjacency membership. ANOT_CHECK-fails on the first
+  /// violation.
   void CheckInvariants() const;
 
  private:
   static uint64_t EdgeKey(RuleEdgeKind kind, RuleId head, RuleId mid,
                           RuleId tail);
 
+  /// The rule index: each (relation, subject category) key owns a run of
+  /// `keyed_rules_`, ascending by object category. A full run moves to
+  /// the end of the store with twice the room, so one flat vector holds
+  /// every run in fewer than four slots per rule (dead slots of moved
+  /// runs included), and a lookup is one probe plus a search of one
+  /// contiguous run.
+  struct KeyedRule {
+    CategoryId object_category = kInvalidId;
+    RuleId rule = kInvalidId;
+  };
+  struct RuleRun {
+    uint32_t begin = 0;
+    uint32_t size = 0;
+    uint32_t capacity = 0;
+  };
+  static uint64_t RunKey(RelationId relation, CategoryId subject_category);
+  /// The entry of `run` at or after `object_category`, or the run's end.
+  const KeyedRule* LowerBound(const RuleRun& run,
+                              CategoryId object_category) const
+      ANOT_LIFETIME_BOUND;
+
   std::vector<AtomicRule> rules_;
   std::vector<uint32_t> support_;
   std::vector<bool> static_selected_;
   std::vector<bool> recurrent_;
   size_t num_static_ = 0;
-  dense_map<AtomicRule, RuleId, AtomicRuleHash> rule_index_;
+  dense_map<uint64_t, RuleRun> rule_runs_;
+  std::vector<KeyedRule> keyed_rules_;
 
   std::vector<RuleEdge> edges_;
   dense_map<uint64_t, RuleEdgeId> edge_index_;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <numeric>
+#include <random>
 
 #include "anomaly/injector.h"
 #include "core/anot.h"
@@ -595,6 +597,69 @@ TEST(ScorerRecurrenceTest, UpdaterTimespanScanExcludesOnlyTheNewInstance) {
   const UpdateEffects first = updater.Ingest(Fact(1, 0, 10, 200));
   EXPECT_EQ(first.timespans_recorded, 0u)
       << "a first occurrence must not witness itself";
+}
+
+// Linear reference for CountAgreements: |span - delta| <= L for each
+// preserved span, with the difference taken in 128 bits so spans and
+// deltas at the Timestamp limits cannot overflow it.
+uint32_t LinearAgreements(const RuleEdge& edge, Timestamp delta,
+                          Timestamp tolerance) {
+  uint32_t agree = 0;
+  for (Timestamp span : edge.timespans) {
+    const __int128 gap = static_cast<__int128>(span) - delta;
+    if ((gap < 0 ? -gap : gap) <= tolerance) ++agree;
+  }
+  return agree;
+}
+
+TEST(CountAgreementsTest, MatchesLinearCountOnRandomSpanLists) {
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  constexpr Timestamp kMin = std::numeric_limits<Timestamp>::min();
+  std::mt19937_64 rng(515);
+  // A value 0-59 ticks inside one of three regions: around zero, or next
+  // to either Timestamp limit. The narrow range makes duplicates common.
+  auto near = [&](int region) -> Timestamp {
+    const Timestamp off = static_cast<Timestamp>(rng() % 60);
+    if (region == 1) return kMax - off;
+    if (region == 2) return kMin + off;
+    return off - 30;
+  };
+  size_t nonzero = 0;
+  size_t at_window_edge = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const int region = trial % 3;
+    RuleEdge edge;
+    const size_t n = rng() % 10;  // 0 keeps empty lists in the mix
+    for (size_t i = 0; i < n; ++i) {
+      edge.timespans.push_back(
+          near(rng() % 8 == 0 ? static_cast<int>(rng() % 3) : region));
+    }
+    std::sort(edge.timespans.begin(), edge.timespans.end());
+    const Timestamp tolerances[] = {0,    0,        1,
+                                    static_cast<Timestamp>(rng() % 30),
+                                    kMax, kMax - 1, kMax / 2,
+                                    static_cast<Timestamp>(rng() >> 1)};
+    const Timestamp tolerance = tolerances[rng() % std::size(tolerances)];
+    Timestamp delta = near(region);
+    if (!edge.timespans.empty() && rng() % 2 == 0) {
+      // A span exactly ±L away, when that delta is representable.
+      const __int128 edge_delta =
+          static_cast<__int128>(edge.timespans[rng() % n]) +
+          (rng() % 2 == 0 ? tolerance : -static_cast<__int128>(tolerance));
+      if (edge_delta >= kMin && edge_delta <= kMax) {
+        delta = static_cast<Timestamp>(edge_delta);
+        ++at_window_edge;
+      }
+    }
+    const uint32_t want = LinearAgreements(edge, delta, tolerance);
+    ASSERT_EQ(CountAgreements(edge, delta, tolerance), want)
+        << "trial " << trial << " delta " << delta << " L " << tolerance;
+    nonzero += want > 0 ? 1 : 0;
+  }
+  // Vacuity guards: both outcomes and the exact window edges occur.
+  EXPECT_GT(nonzero, 2000u);
+  EXPECT_LT(nonzero, 18000u);
+  EXPECT_GT(at_window_edge, 2000u);
 }
 
 TEST(ScorerAssociationTest, AssociatedFlagSurvivesVisitedSkip) {

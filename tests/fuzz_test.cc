@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -211,6 +212,59 @@ TEST_F(FuzzFixture, CheckpointMutantsLoadOrFailCleanly) {
   EXPECT_GT(loaded, 0u);
   EXPECT_LT(loaded, kMutantsPerInput);
   RecordProperty("loaded", static_cast<int>(loaded));
+}
+
+TEST_F(FuzzFixture, CheckpointToleranceMutantsLoadOrFailCleanly) {
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  constexpr Timestamp kMin = std::numeric_limits<Timestamp>::min();
+  const AnoTOptions options = Options();
+  AnoT system = AnoT::Build(*train_, options);
+  const size_t half = stream_->size() / 2;
+  for (size_t i = 0; i < half; ++i) system.ProcessArrival((*stream_)[i]);
+  const std::string path = TempPath("anot_fuzz_tolerance.bin");
+  ASSERT_TRUE(system.SaveCheckpoint(path).ok());
+  const std::string good = ReadBytes(path);
+
+  // L follows max_candidate_edges and max_recursion_steps in the options
+  // section (DetectorOptions::Fields); the three u64s locate it.
+  std::string pattern(24, '\0');
+  WriteU64At(&pattern, 0, options.detector.max_candidate_edges);
+  WriteU64At(&pattern, 8, options.detector.max_recursion_steps);
+  WriteU64At(&pattern, 16,
+             static_cast<uint64_t>(options.detector.timespan_tolerance));
+  const size_t at = good.find(pattern);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(good.find(pattern, at + 1), std::string::npos);
+
+  // A negative L is rejected by the reader; an L at or next to the
+  // Timestamp limit loads and serves without overflowing δ ± L.
+  const struct {
+    Timestamp tolerance;
+    bool loads;
+  } cases[] = {{-1, false}, {kMin, false}, {kMax - 1, true}, {kMax, true}};
+  for (const auto& c : cases) {
+    std::string bytes = good;
+    WriteU64At(&bytes, at + 16, static_cast<uint64_t>(c.tolerance));
+    WriteU64At(&bytes, bytes.size() - 8,
+               Checkpoint::Checksum(bytes.data(), bytes.size() - 8));
+    WriteBytes(path, bytes);
+    Result<AnoT> r = AnoT::LoadCheckpoint(path);
+    if (!c.loads) {
+      ASSERT_FALSE(r.ok()) << "L = " << c.tolerance;
+      EXPECT_NE(r.status().message().find("out of range"), std::string::npos)
+          << r.status().message();
+      continue;
+    }
+    ASSERT_TRUE(r.ok()) << "L = " << c.tolerance << ": "
+                        << r.status().message();
+    AnoT& restored = r.value();
+    EXPECT_EQ(restored.options().detector.timespan_tolerance, c.tolerance);
+    ExpectValid(restored);
+    for (size_t i = half; i < stream_->size(); ++i) {
+      restored.ProcessArrival((*stream_)[i]);
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 TEST_F(FuzzFixture, TsvMutantsLoadOrFailCleanly) {

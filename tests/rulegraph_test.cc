@@ -1,9 +1,95 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <map>
+#include <random>
+#include <tuple>
+#include <vector>
+
+#include "core/anot.h"
+#include "core/scorer.h"
+#include "datagen/generator.h"
 #include "rulegraph/rule_graph.h"
+#include "tkg/split.h"
 
 namespace anot {
 namespace {
+
+using RuleTriple = std::tuple<CategoryId, RelationId, CategoryId>;
+
+/// Brute-force reference for the rule index: every node by its
+/// (c_s, r, c_o) triple, read off the node table alone.
+std::map<RuleTriple, RuleId> RuleTable(const RuleGraph& g) {
+  std::map<RuleTriple, RuleId> table;
+  for (RuleId id = 0; id < g.num_rules(); ++id) {
+    const AtomicRule& r = g.rule(id);
+    table.emplace(RuleTriple{r.subject_category, r.relation,
+                             r.object_category},
+                  id);
+  }
+  return table;
+}
+
+/// The mapping as the scorer once computed it: one probe per (c_s, c_o)
+/// pair, then sorted and deduplicated.
+std::vector<RuleId> ReferenceMapping(
+    const std::map<RuleTriple, RuleId>& table,
+    const std::vector<CategoryId>& subject_cats, RelationId relation,
+    const std::vector<CategoryId>& object_cats) {
+  std::vector<RuleId> mapped;
+  for (CategoryId cs : subject_cats) {
+    for (CategoryId co : object_cats) {
+      auto it = table.find(RuleTriple{cs, relation, co});
+      if (it != table.end()) mapped.push_back(it->second);
+    }
+  }
+  std::sort(mapped.begin(), mapped.end());
+  mapped.erase(std::unique(mapped.begin(), mapped.end()), mapped.end());
+  return mapped;
+}
+
+/// Checks FindRule on every node and on absent triples, and AppendRules on
+/// random ascending category lists, against the brute-force table.
+void ExpectIndexMatchesTable(const RuleGraph& g, std::mt19937_64& rng,
+                             uint32_t num_categories, uint32_t num_relations) {
+  const std::map<RuleTriple, RuleId> table = RuleTable(g);
+  ASSERT_EQ(table.size(), g.num_rules()) << "duplicate rule nodes";
+  for (const auto& [triple, id] : table) {
+    const auto [cs, r, co] = triple;
+    const std::optional<RuleId> found = g.FindRule(AtomicRule{cs, r, co});
+    ASSERT_TRUE(found.has_value()) << "rule " << id;
+    EXPECT_EQ(*found, id);
+  }
+  auto random_cats = [&] {
+    std::vector<CategoryId> cats;
+    const size_t n = rng() % 8;
+    for (size_t i = 0; i < n; ++i) cats.push_back(rng() % num_categories);
+    std::sort(cats.begin(), cats.end());
+    cats.erase(std::unique(cats.begin(), cats.end()), cats.end());
+    return cats;
+  };
+  for (int q = 0; q < 300; ++q) {
+    const CategoryId cs = rng() % num_categories;
+    const RelationId r = rng() % num_relations;
+    const CategoryId co = rng() % num_categories;
+    const auto want = table.find(RuleTriple{cs, r, co});
+    const std::optional<RuleId> got = g.FindRule(AtomicRule{cs, r, co});
+    ASSERT_EQ(got.has_value(), want != table.end());
+    if (got.has_value()) {
+      EXPECT_EQ(*got, want->second);
+    }
+
+    const std::vector<CategoryId> subject_cats = random_cats();
+    const std::vector<CategoryId> object_cats = random_cats();
+    small_vec<RuleId, 8> mapped;
+    for (CategoryId s : subject_cats) g.AppendRules(s, r, object_cats, &mapped);
+    std::sort(mapped.begin(), mapped.end());
+    EXPECT_EQ(std::vector<RuleId>(mapped.begin(), mapped.end()),
+              ReferenceMapping(table, subject_cats, r, object_cats))
+        << "query " << q;
+  }
+}
 
 AtomicRule MakeRule(CategoryId cs, RelationId r, CategoryId co) {
   AtomicRule rule;
@@ -132,6 +218,98 @@ TEST(RuleGraphTest, AddTimespanKeepsSorted) {
   g.AddTimespan(id, 1);
   g.AddTimespan(id, 5);
   EXPECT_EQ(g.edge(id).timespans, (std::vector<Timestamp>{1, 5, 9}));
+}
+
+TEST(RuleGraphTest, RuleIndexMatchesBruteForceUnderOnlineGrowth) {
+  constexpr uint32_t kCategories = 40;
+  constexpr uint32_t kRelations = 5;
+  std::mt19937_64 rng(1907);
+  RuleGraph g;
+  std::map<RuleTriple, RuleId> added;
+  for (int step = 1; step <= 4000; ++step) {
+    // Skewed categories grow a few long runs next to many short ones.
+    const CategoryId cs = rng() % 4 == 0 ? rng() % 3 : rng() % kCategories;
+    const RelationId r = rng() % kRelations;
+    const CategoryId co = rng() % kCategories;
+    const RuleId id = g.AddRule(MakeRule(cs, r, co), rng() % 2 == 0);
+    const auto [it, inserted] = added.emplace(RuleTriple{cs, r, co}, id);
+    EXPECT_EQ(id, it->second) << "re-adding a rule changed its id";
+    if (inserted) {
+      EXPECT_EQ(id, g.num_rules() - 1);
+    }
+    if (step % 500 == 0) {
+      g.CheckInvariants();
+      ExpectIndexMatchesTable(g, rng, kCategories, kRelations);
+    }
+  }
+  RuleGraph copy = g;
+  copy.CheckInvariants();
+  ExpectIndexMatchesTable(copy, rng, kCategories, kRelations);
+}
+
+/// The scorer's mapping against the brute-force reference for every fact
+/// of a stream, on a detector whose rule graph the updater grew online.
+void ExpectMappingMatchesReference(const AnoT& system,
+                                   const std::vector<Fact>& facts) {
+  const Scorer scorer(&system.graph(), &system.categories(), &system.rules(),
+                      &system.options().detector);
+  const std::map<RuleTriple, RuleId> table = RuleTable(system.rules());
+  for (size_t i = 0; i < facts.size(); ++i) {
+    const Fact& f = facts[i];
+    const small_vec<RuleId, 8> mapped = scorer.MapToRules(f);
+    ASSERT_EQ(std::vector<RuleId>(mapped.begin(), mapped.end()),
+              ReferenceMapping(table, system.categories().Categories(f.subject),
+                               f.relation,
+                               system.categories().Categories(f.object)))
+        << "fact " << i;
+  }
+}
+
+TEST(RuleGraphTest, StreamGrownIndexMatchesBruteForceAcrossRestart) {
+  GeneratorConfig cfg;
+  cfg.num_entities = 150;
+  cfg.num_relations = 20;
+  cfg.num_timestamps = 100;
+  cfg.num_facts = 4000;
+  cfg.num_categories = 6;
+  cfg.secondary_category_prob = 0.2;
+  cfg.seed = 31;
+  SyntheticGenerator gen(cfg);
+  const auto world = gen.Generate();
+  const TimeSplit split = SplitByTimestamps(*world, 0.5, 0.1);
+  const auto train = Subgraph(*world, split.train);
+  std::vector<Fact> stream;
+  for (FactId id : split.test) stream.push_back(world->fact(id));
+
+  AnoTOptions options;
+  options.detector.category.min_support = 3;
+  options.detector.timespan_tolerance = 10;
+  options.num_threads = 1;
+  AnoT system = AnoT::Build(*train, options);
+  const size_t built_rules = system.rules().num_rules();
+  for (const Fact& f : stream) system.ProcessArrival(f);
+  ASSERT_GT(system.rules().num_rules(), built_rules)
+      << "the stream must grow the rule graph for this test to bite";
+  system.CheckInvariants();
+  std::mt19937_64 rng(4242);
+  const uint32_t num_categories =
+      static_cast<uint32_t>(system.categories().num_categories());
+  const uint32_t num_relations =
+      static_cast<uint32_t>(system.graph().num_relations());
+  ExpectIndexMatchesTable(system.rules(), rng, num_categories, num_relations);
+  ExpectMappingMatchesReference(system, stream);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "anot_rule_index.bin")
+          .string();
+  ASSERT_TRUE(system.SaveCheckpoint(path).ok());
+  Result<AnoT> restored = AnoT::LoadCheckpoint(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  restored.value().CheckInvariants();
+  ExpectIndexMatchesTable(restored.value().rules(), rng, num_categories,
+                          num_relations);
+  ExpectMappingMatchesReference(restored.value(), stream);
 }
 
 TEST(RuleGraphTest, ToStringMentionsCounts) {
