@@ -22,7 +22,9 @@ int main() {
   };
   const std::vector<Variant> variants = {
       {"-category aggregation",
-       [](AnoTOptions* o) { o->detector.use_category_aggregation = false; }},
+       [](AnoTOptions* o) {
+         o->detector.category.max_aggregation_rounds = 0;
+       }},
       {"-updater", [](AnoTOptions* o) { o->enable_updater = false; }},
       {"-triadic edges",
        [](AnoTOptions* o) { o->detector.use_triadic = false; }},

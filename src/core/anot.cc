@@ -57,10 +57,6 @@ AnoT AnoT::Build(const TemporalKnowledgeGraph& offline,
                  const AnoTOptions& options) {
   AnoT anot;
   anot.options_ = std::make_unique<AnoTOptions>(options);
-  if (!options.detector.use_category_aggregation) {
-    // Table 3 ablation: skip the aggregation passes entirely.
-    anot.options_->detector.category.max_aggregation_rounds = 0;
-  }
   anot.graph_ = std::make_unique<TemporalKnowledgeGraph>(offline);
   anot.Rebuild();
   return anot;
@@ -268,7 +264,7 @@ void AnoT::CompleteRefresh() {
   // updater (their serving-time UpdateEffects were already reported; the
   // replay's are bookkeeping against the new state and are discarded).
   for (const Fact& fact : refresh_replay_facts_) updater_->Ingest(fact);
-  // 3. Replay the observation window into the reset monitor so the
+  // 3. Replay the observation window into the fresh monitor so the
   // in-flight bucket accounting is not lost across the swap.
   monitor_->Replay(refresh_replay_observations_);
   refresh_replay_facts_.clear();

@@ -6,6 +6,11 @@ namespace anot {
 
 namespace {
 
+/// Chain-candidate lookback: how many predecessors in a pair sequence each
+/// fact is paired with (a performance cap; the paper enumerates all m < n
+/// pairs).
+constexpr size_t kMaxPairLag = 8;
+
 uint64_t EdgeCandidateKey(RuleEdgeKind kind, uint32_t head, uint32_t mid,
                           uint32_t tail) {
   uint64_t h = internal::HashMix((static_cast<uint64_t>(head) << 32) | tail);
@@ -123,10 +128,10 @@ void CandidateGenerator::GenerateChainEdges(
     for (size_t n = 1; n < seq.size(); ++n) {
       const Fact& tail_fact = graph_.fact(seq[n]);
       const Timestamp tail_time = AnchorTime(tail_fact, options_.tail_anchor);
-      // Bounded by max_pair_lag entries, so a linear scan over inline
+      // Bounded by kMaxPairLag entries, so a linear scan over inline
       // storage beats a hash probe here.
       small_vec<RelationId, 16> seen_heads;
-      const size_t lookback = std::min(n, options_.max_pair_lag);
+      const size_t lookback = std::min(n, kMaxPairLag);
       for (size_t back = 1; back <= lookback; ++back) {
         const size_t m = n - back;
         const Fact& head_fact = graph_.fact(seq[m]);
@@ -181,7 +186,7 @@ void CandidateGenerator::GenerateTriadicEdges(
     size_t scanned = 0;
     dense_set<uint64_t> local_edges;
     for (auto rit = std::make_reverse_iterator(upper);
-         rit != s_facts->rend() && scanned < options_.max_instantiation_scan;
+         rit != s_facts->rend() && scanned < kMaxInstantiationScan;
          ++rit, ++scanned) {
       if (emitted >= 8) break;
       const FactId g1_id = *rit;
@@ -198,7 +203,7 @@ void CandidateGenerator::GenerateTriadicEdges(
       Timestamp t2_best = kNoTimestamp;
       size_t scanned2 = 0;
       for (auto it2 = hp->rbegin();
-           it2 != hp->rend() && scanned2 < options_.max_instantiation_scan;
+           it2 != hp->rend() && scanned2 < kMaxInstantiationScan;
            ++it2, ++scanned2) {
         const Fact& g2 = graph_.fact(*it2);
         const Timestamp t2 = AnchorTime(g2, options_.head_anchor);

@@ -96,14 +96,4 @@ void Monitor::CheckInvariants() const {
 #endif  // ANOT_VALIDATE
 }
 
-void Monitor::Reset(double training_negative_bits,
-                    size_t training_timestamps) {
-  training_bits_ = training_negative_bits;
-  training_timestamps_ = training_timestamps;
-  online_bits_ = 0.0;
-  online_timestamps_ = 0;
-  bucket_open_ = false;
-  bucket_total_ = bucket_mapped_ = bucket_associated_ = 0;
-}
-
 }  // namespace anot

@@ -10,7 +10,7 @@ namespace anot {
 
 /// \brief One recorded Observe call: the unit of the monitor handoff the
 /// asynchronous refresh swap performs (observations made between the
-/// snapshot and the swap are replayed into the reset monitor so the
+/// snapshot and the swap are replayed into the fresh monitor so the
 /// in-flight accounting window is not lost).
 struct MonitorObservation {
   Timestamp time = kNoTimestamp;
@@ -46,14 +46,11 @@ class Monitor {
   /// per-timestamp mean exceeds the training mean in kPerTimestamp mode).
   bool ShouldRefresh() const;
 
-  /// Resets the online accumulation after a refresh, adopting the new
-  /// training budget.
-  void Reset(double training_negative_bits, size_t training_timestamps);
-
-  /// Feeds recorded observations in order (the async-swap handoff: Reset
-  /// to the new budget, then Replay the window observed since the
-  /// snapshot). Equivalent to calling Observe per entry; the final bucket
-  /// is left open exactly as live observation would.
+  /// Feeds recorded observations in order (the async-swap handoff: a
+  /// fresh monitor is built for the new budget and pricing universes,
+  /// then Replays the window observed since the snapshot). Equivalent to
+  /// calling Observe per entry; the final bucket is left open exactly as
+  /// live observation would.
   void Replay(const std::vector<MonitorObservation>& observations);
 
   /// Checks the pricing ledger, non-negative accumulated bits, and bucket

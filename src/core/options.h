@@ -33,6 +33,12 @@ enum class RankingMode {
   kAssertionsOnly,  // ablation: |A| only (Table 3 variant)
 };
 
+/// Scan cap on each backward walk over a pair or subject sequence during
+/// instantiation: the scorer's witness and out-edge scans, the updater's
+/// chain-edge wiring and triadic candidate generation (keeps scoring
+/// O(f_max), §4.6).
+inline constexpr size_t kMaxInstantiationScan = 64;
+
 /// \brief All detector hyper-parameters (paper §5.2 grid).
 struct DetectorOptions {
   CategoryFunctionOptions category;
@@ -50,37 +56,14 @@ struct DetectorOptions {
   /// λ — minimum static support before temporal scoring runs (Alg. 2 l.8).
   double lambda = 1.0;
 
-  /// Chain-candidate lookback: how many predecessors of a pair sequence
-  /// each fact is paired with (performance cap; the paper enumerates all
-  /// m < n pairs).
-  size_t max_pair_lag = 8;
-
-  /// Scan caps during instantiation (keeps scoring O(f_max), §4.6).
-  size_t max_instantiation_scan = 64;
-
-  /// Ablation switches (Table 3).
+  /// Ablation switches (Table 3). The "-category aggregation" variant sets
+  /// category.max_aggregation_rounds = 0.
   bool use_triadic = true;
   bool use_recursion = true;
-  bool use_category_aggregation = true;
   bool unit_rule_weight = false;  // replace |A_v| by 1 in Eqs. 9-10
   RankingMode ranking = RankingMode::kDeltaCost;
 
-  /// Out-edge violation extension of Eq. 10 (the paper's "can be further
-  /// extended" remark; needed for the Trump/outgoing-president case).
-  bool use_out_edge_violations = true;
-
   ThetaMode theta_mode = ThetaMode::kMismatch;
-
-  /// Weak occurrence evidence contributed by the mapped rules themselves
-  /// (weight × static support added to Eq. 10's denominator). Keeps the
-  /// temporal score bounded for knowledge whose patterns carry no
-  /// occurrence-order expectation at all, instead of treating "no
-  /// expectation" as maximal anomaly. Set to 0 for the strict Eq. 10.
-  double temporal_base_weight = 0.05;
-
-  /// Weight of conflict mass (timespan disagreement, unmet one-shot
-  /// precursors, out-edge violations) in the extended Eq. 10 numerator.
-  double conflict_weight = 3.0;
 
   /// Duration-TKG anchors (§4.7). Point TKGs ignore these.
   TimeAnchor head_anchor = TimeAnchor::kStart;
@@ -96,17 +79,11 @@ struct DetectorOptions {
     v(max_recursion_steps);
     v(timespan_tolerance, std::numeric_limits<Timestamp>::max());
     v(lambda);
-    v(max_pair_lag);
-    v(max_instantiation_scan);
     v(use_triadic);
     v(use_recursion);
-    v(use_category_aggregation);
     v(unit_rule_weight);
     v(ranking, RankingMode::kAssertionsOnly);
-    v(use_out_edge_violations);
     v(theta_mode, ThetaMode::kAsPrinted);
-    v(temporal_base_weight);
-    v(conflict_weight);
     v(head_anchor, TimeAnchor::kEnd);
     v(tail_anchor, TimeAnchor::kEnd);
   }

@@ -10,7 +10,18 @@ namespace anot {
 
 namespace {
 constexpr double kEpsilonSupport = 1e-9;
-}
+
+/// Weak occurrence evidence contributed by the mapped rules themselves
+/// (weight × static support added to Eq. 10's denominator). Keeps the
+/// temporal score bounded for knowledge whose patterns carry no
+/// occurrence-order expectation at all, instead of treating "no
+/// expectation" as maximal anomaly.
+constexpr double kTemporalBaseWeight = 0.05;
+
+/// Weight of conflict mass (timespan disagreement, unmet one-shot
+/// precursors, out-edge violations) in the extended Eq. 10 numerator.
+constexpr double kConflictWeight = 3.0;
+}  // namespace
 
 Scorer::Scorer(const TemporalKnowledgeGraph* graph,
                const CategoryFunction* categories, const RuleGraph* rules,
@@ -91,15 +102,13 @@ std::optional<Instantiation> Scorer::TryInstantiate(
   if (edge.kind == RuleEdgeKind::kChain) {
     // A prior fact of the head rule on the same (s, o) pair. Evidence is
     // existential, so among admissible witnesses we keep the one whose
-    // timespan agrees best with T(e) (minimal θ). Witnesses are excluded
-    // by id, not value: a distinct earlier occurrence of an identical
-    // recurring fact is a real precursor.
+    // timespan agrees best with T(e) (minimal θ).
     const auto* seq = graph_->FactsForPair(fact.subject, fact.object);
     if (seq == nullptr) return std::nullopt;
     std::optional<Instantiation> best;
     size_t scanned = 0;
     for (auto it = seq->rbegin();
-         it != seq->rend() && scanned < options_->max_instantiation_scan;
+         it != seq->rend() && scanned < kMaxInstantiationScan;
          ++it, ++scanned) {
       if (*it == exclude_witness) continue;
       const Fact& g = graph_->fact(*it);
@@ -127,7 +136,7 @@ std::optional<Instantiation> Scorer::TryInstantiate(
   std::optional<Instantiation> best;
   size_t scanned = 0;
   for (auto it = s_facts->rbegin();
-       it != s_facts->rend() && scanned < options_->max_instantiation_scan;
+       it != s_facts->rend() && scanned < kMaxInstantiationScan;
        ++it, ++scanned) {
     if (*it == exclude_witness) continue;
     const Fact& g1 = graph_->fact(*it);
@@ -140,7 +149,7 @@ std::optional<Instantiation> Scorer::TryInstantiate(
     if (op == nullptr) continue;
     size_t scanned2 = 0;
     for (auto it2 = op->rbegin();
-         it2 != op->rend() && scanned2 < options_->max_instantiation_scan;
+         it2 != op->rend() && scanned2 < kMaxInstantiationScan;
          ++it2, ++scanned2) {
       const Fact& g2 = graph_->fact(*it2);
       const Timestamp t2 = AnchorTime(g2, options_->head_anchor);
@@ -172,7 +181,7 @@ Scorer::EdgeEvidence Scorer::EvidenceForEdge(RuleEdgeId edge_id,
   walk->visited[edge_id] = 1;
   const RuleEdge& edge = rules_->edge(edge_id);
 
-  auto inst = TryInstantiate(edge, fact, walk->exclude_witness);
+  auto inst = TryInstantiate(edge, fact);
   walk->instantiated[edge_id] = inst.has_value();
   if (inst.has_value()) {
     EdgeEvidence out;
@@ -227,8 +236,7 @@ Scorer::EdgeEvidence Scorer::EvidenceForEdge(RuleEdgeId edge_id,
   return out;
 }
 
-Scores Scorer::Score(const Fact& fact, Evidence* evidence,
-                     FactId exclude_witness) const {
+Scores Scorer::Score(const Fact& fact, Evidence* evidence) const {
   Scores scores;
 
   // ---- Static score (Eq. 9) ----------------------------------------------
@@ -257,75 +265,59 @@ Scores Scorer::Score(const Fact& fact, Evidence* evidence,
   Walk walk;
   walk.visited.assign(rules_->num_edges(), 0);
   walk.instantiated.assign(rules_->num_edges(), 0);
-  walk.exclude_witness = exclude_witness;
   for (RuleId id : mapped) {
     for (RuleEdgeId in_edge : rules_->InEdges(id)) {
       EdgeEvidence e = EvidenceForEdge(in_edge, fact, 0, &walk, evidence);
       scores.temporal_support += e.support;
       scores.temporal_conflict += e.conflict;
-    }
-  }
-  // Association flag for the monitor: an instantiable in-edge of a mapped
-  // rule means the fact is "associated with a previous fact via a rule
-  // edge". Every such edge was tried exactly once during the walk above
-  // (possibly at recursion depth > 0, where the visited filter then
-  // skips its depth-0 turn), so the recorded per-edge outcome replaces
-  // the second TryInstantiate pass the scorer used to run here.
-  if (scores.temporal_support > 0.0) {
-    for (RuleId id : mapped) {
-      for (RuleEdgeId in_edge : rules_->InEdges(id)) {
-        if (walk.instantiated[in_edge]) {
-          scores.associated = true;
-          break;
-        }
-      }
-      if (scores.associated) break;
+      // Association flag for the monitor: an instantiable in-edge of a
+      // mapped rule means the fact is "associated with a previous fact via
+      // a rule edge". Each edge is tried once — by this call, or earlier
+      // at recursion depth > 0, where the visited filter then skips this
+      // turn — so its recorded outcome is final here.
+      scores.associated = scores.associated || walk.instantiated[in_edge];
     }
   }
 
   // ---- Out-edge violations (Eq. 10 extension) -------------------------------
-  if (options_->use_out_edge_violations) {
-    for (RuleId id : mapped) {
-      for (RuleEdgeId out_id : rules_->OutEdges(id)) {
-        const RuleEdge& edge = rules_->edge(out_id);
-        if (edge.kind != RuleEdgeKind::kChain) continue;
-        if (edge.head != id) continue;
-        // Self-loops and recurrent successors: an earlier occurrence of a
-        // repeating pattern is expected, not an order conflict.
-        if (edge.tail == id) continue;
-        if (rules_->recurrent(edge.tail)) continue;
-        // The successor pattern already occurred before this knowledge:
-        // an occurrence-order conflict.
-        const AtomicRule& tail_rule = rules_->rule(edge.tail);
-        const auto* seq = graph_->FactsForPair(fact.subject, fact.object);
-        if (seq == nullptr) continue;
-        size_t scanned = 0;
-        for (auto it = seq->rbegin();
-             it != seq->rend() &&
-             scanned < options_->max_instantiation_scan;
-             ++it, ++scanned) {
-          if (*it == exclude_witness) continue;
-          const Fact& g = graph_->fact(*it);
-          if (AnchorTime(g, options_->tail_anchor) >
-              AnchorTime(fact, options_->head_anchor)) {
-            continue;
-          }
-          if (RuleMatchesFact(tail_rule, g.subject, g.relation, g.object)) {
-            ++scores.out_violations;
-            if (evidence != nullptr) evidence->violations.push_back(out_id);
-            break;
-          }
+  // The paper's "can be further extended" remark; needed for the
+  // Trump/outgoing-president case.
+  for (RuleId id : mapped) {
+    for (RuleEdgeId out_id : rules_->OutEdges(id)) {
+      const RuleEdge& edge = rules_->edge(out_id);
+      if (edge.kind != RuleEdgeKind::kChain) continue;
+      if (edge.head != id) continue;
+      // Self-loops and recurrent successors: an earlier occurrence of a
+      // repeating pattern is expected, not an order conflict.
+      if (edge.tail == id) continue;
+      if (rules_->recurrent(edge.tail)) continue;
+      // The successor pattern already occurred before this knowledge:
+      // an occurrence-order conflict.
+      const AtomicRule& tail_rule = rules_->rule(edge.tail);
+      const auto* seq = graph_->FactsForPair(fact.subject, fact.object);
+      if (seq == nullptr) continue;
+      size_t scanned = 0;
+      for (auto it = seq->rbegin();
+           it != seq->rend() && scanned < kMaxInstantiationScan;
+           ++it, ++scanned) {
+        const Fact& g = graph_->fact(*it);
+        if (AnchorTime(g, options_->tail_anchor) >
+            AnchorTime(fact, options_->head_anchor)) {
+          continue;
+        }
+        if (RuleMatchesFact(tail_rule, g.subject, g.relation, g.object)) {
+          ++scores.out_violations;
+          if (evidence != nullptr) evidence->violations.push_back(out_id);
+          break;
         }
       }
     }
   }
 
   const double numerator =
-      1.0 + options_->conflict_weight *
-                (static_cast<double>(scores.out_violations) +
-                 scores.temporal_conflict);
-  const double base_evidence =
-      options_->temporal_base_weight * scores.static_support;
+      1.0 + kConflictWeight * (static_cast<double>(scores.out_violations) +
+                               scores.temporal_conflict);
+  const double base_evidence = kTemporalBaseWeight * scores.static_support;
   // The +1 bounds zero-signal knowledge (no expectations, no conflicts)
   // at a neutral score <= 1; conflict evidence pushes above 1, gathered
   // support pulls towards 0.

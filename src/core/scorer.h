@@ -33,8 +33,9 @@ struct Scores {
   uint32_t out_violations = 0;
   /// False when λ-gated (Alg. 2 line 8) — temporal evidence not gathered.
   bool temporal_evaluated = false;
-  /// True when at least one in-edge was instantiated at depth 0; feeds the
-  /// monitor's association counter.
+  /// True when at least one in-edge of a mapped rule was instantiated (at
+  /// whatever walk depth it was tried); feeds the monitor's association
+  /// counter.
   bool associated = false;
 
   /// Ranking score for missing-error detection: absent facts with high
@@ -100,18 +101,10 @@ class Scorer {
          const CategoryFunction* categories, const RuleGraph* rules,
          const DetectorOptions* options);
 
-  /// Algorithm 2 end to end. `evidence` may be nullptr.
-  ///
-  /// `exclude_witness` names one graph fact (by id) that must not serve
-  /// as a witness in any scan — the fact being scored itself, when it has
-  /// already been ingested. Witness admissibility is decided by identity,
-  /// never by value equality: a *distinct* earlier occurrence of an
-  /// identical recurring fact is a real precursor and must stay
-  /// admissible (the same identity-vs-equality contract as the updater's
-  /// chain-edge scan). Facts scored before ingestion (the serving path)
-  /// need no exclusion — they have no id yet.
-  Scores Score(const Fact& fact, Evidence* evidence = nullptr,
-               FactId exclude_witness = kInvalidId) const;
+  /// Algorithm 2 end to end. `evidence` may be nullptr. Every graph fact
+  /// is an admissible witness: the serving path scores a fact before it
+  /// is ingested, so the fact never witnesses itself there.
+  Scores Score(const Fact& fact, Evidence* evidence = nullptr) const;
 
   /// Rule nodes the fact maps to (any selection status). Sorted ascending,
   /// deduplicated; inline storage covers the typical |C(s)|·|C(o)| fan-out
@@ -121,7 +114,14 @@ class Scorer {
   /// Tries to instantiate `edge` as a precursor of `fact`: is there
   /// concrete prior knowledge matching the edge's head (and mid) pattern
   /// that the new knowledge could follow? Exposed for the updater's
-  /// timespan bookkeeping. `exclude_witness` as in Score.
+  /// timespan bookkeeping (Alg. 3 l.15).
+  ///
+  /// `exclude_witness` names one graph fact (by id) that must not serve
+  /// as a witness — the fact itself, when it has already been ingested.
+  /// Witness admissibility is decided by identity, never by value
+  /// equality: a *distinct* earlier occurrence of an identical recurring
+  /// fact is a real precursor and must stay admissible (the same
+  /// identity-vs-equality contract as the updater's chain-edge scan).
   std::optional<Instantiation> TryInstantiate(
       const RuleEdge& edge, const Fact& fact,
       FactId exclude_witness = kInvalidId) const;
@@ -140,7 +140,6 @@ class Scorer {
   struct Walk {
     std::vector<uint8_t> visited;
     std::vector<uint8_t> instantiated;
-    FactId exclude_witness = kInvalidId;
   };
   EdgeEvidence EvidenceForEdge(RuleEdgeId edge_id, const Fact& fact,
                                int depth, Walk* walk,

@@ -163,8 +163,7 @@ UpdateEffects Updater::Ingest(const Fact& fact) {
           detector_options_->head_anchor == TimeAnchor::kStart;
       size_t scanned = 0;
       for (auto it = seq->rbegin();
-           it != seq->rend() &&
-           scanned < detector_options_->max_instantiation_scan;
+           it != seq->rend() && scanned < kMaxInstantiationScan;
            ++it, ++scanned) {
         // Skip the instance just appended — but not genuinely distinct
         // earlier occurrences of an identical fact, which are real

@@ -19,6 +19,16 @@ using internal::TokenSetKey;
 
 const std::vector<CategoryId> kNoCategories;
 
+/// Maximum relations per mined combination (paper: 3).
+constexpr size_t kMaxCombinationSize = 3;
+/// Only the top combinations by coverage seed aggregation. Each round
+/// compares every pair of combinations through exact overlap counts on an
+/// inverted index, so its cost grows with the combinations' shared
+/// members; this cap (and the 4x stop on the grown list) bounds it.
+constexpr size_t kMaxAggregationCandidates = 800;
+/// Safety cap on the total number of categories kept.
+constexpr size_t kMaxCategories = 50000;
+
 }  // namespace
 
 CategoryFunction CategoryFunction::Build(
@@ -50,7 +60,7 @@ CategoryFunction CategoryFunction::Build(
   // 2. Frequent relation combinations via PrefixSpan.
   PrefixSpan::Options ps;
   ps.min_support = options.min_support;
-  ps.max_length = options.max_combination_size;
+  ps.max_length = kMaxCombinationSize;
   auto mined = PrefixSpan::Mine(transactions, ps);
 
   std::vector<ComboCandidate> combos;
@@ -70,8 +80,8 @@ CategoryFunction CategoryFunction::Build(
               }
               return a.tokens < b.tokens;
             });
-  if (combos.size() > options.max_aggregation_candidates) {
-    combos.resize(options.max_aggregation_candidates);
+  if (combos.size() > kMaxAggregationCandidates) {
+    combos.resize(kMaxAggregationCandidates);
   }
 
   std::set<uint64_t> seen;
@@ -82,7 +92,7 @@ CategoryFunction CategoryFunction::Build(
         AggregateRound(combos, &seen, options, workers);
     if (added.empty()) break;
     for (auto& c : added) combos.push_back(std::move(c));
-    if (combos.size() > 4 * options.max_aggregation_candidates) break;
+    if (combos.size() > 4 * kMaxAggregationCandidates) break;
   }
 
   if (cancelled()) return fn;
@@ -103,7 +113,7 @@ CategoryFunction CategoryFunction::Build(
 
   const size_t k = std::max<size_t>(1, options.max_categories_per_entity);
   for (auto& combo : combos) {
-    if (fn.categories_.size() >= options.max_categories) break;
+    if (fn.categories_.size() >= kMaxCategories) break;
     // Keep only members that still need categories.
     std::vector<EntityId> takers;
     takers.reserve(combo.members.size());

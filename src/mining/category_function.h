@@ -14,36 +14,27 @@ class Checkpoint;
 class ThreadPool;
 
 /// \brief Options controlling category-function construction (§4.3.1).
+/// The mining caps (combination size, aggregation seeds, total categories)
+/// are constants in category_function.cc.
 struct CategoryFunctionOptions {
   /// Maximum categories assigned per entity (the paper's hyper-parameter k,
   /// swept over {1, 3, 5, 10} in Figure 9).
   size_t max_categories_per_entity = 3;
   /// Minimum entities sharing a relation combination for it to count.
   size_t min_support = 3;
-  /// Maximum relations per mined combination (paper: 3).
-  size_t max_combination_size = 3;
   /// Overlap ratio triggering entity-/relation-based aggregation (paper: 0.9).
   double aggregation_overlap = 0.9;
-  /// Fixpoint-loop cap for the aggregation passes.
+  /// Fixpoint-loop cap for the aggregation passes; 0 skips aggregation
+  /// (the Table 3 "-category aggregation" ablation).
   size_t max_aggregation_rounds = 4;
-  /// Only the top combinations by coverage seed aggregation. Each round
-  /// compares every pair of combinations through exact overlap counts on
-  /// an inverted index, so its cost grows with the combinations' shared
-  /// members; this cap (and the 4x stop on the grown list) bounds it.
-  size_t max_aggregation_candidates = 800;
-  /// Safety cap on the total number of categories kept.
-  size_t max_categories = 50000;
 
   /// The persisted field list, in checkpoint order (io/checkpoint.cc).
   template <class V>
   void Fields(V& v) {
     v(max_categories_per_entity);
     v(min_support);
-    v(max_combination_size);
     v(aggregation_overlap);
     v(max_aggregation_rounds);
-    v(max_aggregation_candidates);
-    v(max_categories);
   }
 };
 

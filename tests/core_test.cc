@@ -868,17 +868,6 @@ TEST(MonitorTest, PerTimestampModeComparesMeans) {
   EXPECT_TRUE(monitor.ShouldRefresh());
 }
 
-TEST(MonitorTest, ResetAdoptsNewBudget) {
-  MonitorOptions mopts;
-  Monitor monitor(1.0, 1, 1e8, 1e3, mopts);
-  for (int i = 0; i < 5; ++i) monitor.Observe(0, false, false);
-  monitor.Flush();
-  EXPECT_TRUE(monitor.ShouldRefresh());
-  monitor.Reset(1e9, 1);
-  EXPECT_FALSE(monitor.ShouldRefresh());
-  EXPECT_DOUBLE_EQ(monitor.online_negative_bits(), 0.0);
-}
-
 TEST(MonitorTest, PerTimestampSlackScalesTheFiringThreshold) {
   // Training mean: 10 bits/timestamp. One bad tick costs ~2 log2(1e8)
   // ≈ 53 bits: above the mean at slack 1, far below it at slack 1000.
@@ -916,36 +905,34 @@ TEST(MonitorTest, ShouldRefreshPricesThePendingOpenBucket) {
   EXPECT_TRUE(monitor.ShouldRefresh());
 }
 
-TEST(MonitorTest, ResetPlusReplayEqualsFreshMonitor) {
-  // The async swap's handoff: Reset to the new budget, Replay the window
-  // observed since the snapshot. Must be bit-identical to a fresh monitor
-  // that lived through the same window — including the still-open bucket.
+TEST(MonitorTest, ReplayEqualsLiveObservation) {
+  // The async swap's handoff (AnoT::CompleteRefresh): a fresh monitor for
+  // the new budget Replays the window observed since the snapshot. Must
+  // be bit-identical to a monitor that lived through the same window —
+  // including the still-open bucket.
   const std::vector<MonitorObservation> window = {
       {100, false, false}, {100, true, false},  {101, true, true},
       {101, false, false}, {102, false, false},
   };
   MonitorOptions mopts;
-  Monitor live(50.0, 5, 1e8, 1e3, mopts);
-  for (Timestamp t = 0; t < 4; ++t) live.Observe(t, false, false);
-
-  live.Reset(123.0, 7);
-  live.Replay(window);
-  Monitor fresh(123.0, 7, 1e8, 1e3, mopts);
+  Monitor replayed(123.0, 7, 1e8, 1e3, mopts);
+  replayed.Replay(window);
+  Monitor observed(123.0, 7, 1e8, 1e3, mopts);
   for (const MonitorObservation& o : window) {
-    fresh.Observe(o.time, o.mapped, o.associated);
+    observed.Observe(o.time, o.mapped, o.associated);
   }
-  EXPECT_EQ(live.online_negative_bits(), fresh.online_negative_bits());
-  EXPECT_EQ(live.online_timestamps(), fresh.online_timestamps());
-  EXPECT_EQ(live.ShouldRefresh(), fresh.ShouldRefresh());
+  EXPECT_EQ(replayed.online_negative_bits(), observed.online_negative_bits());
+  EXPECT_EQ(replayed.online_timestamps(), observed.online_timestamps());
+  EXPECT_EQ(replayed.ShouldRefresh(), observed.ShouldRefresh());
 
   // The replayed bucket at t=102 is still open: further observations at
   // the same timestamp merge into it on both monitors.
-  live.Observe(102, true, true);
-  fresh.Observe(102, true, true);
-  live.Flush();
-  fresh.Flush();
-  EXPECT_EQ(live.online_negative_bits(), fresh.online_negative_bits());
-  EXPECT_EQ(live.online_timestamps(), fresh.online_timestamps());
+  replayed.Observe(102, true, true);
+  observed.Observe(102, true, true);
+  replayed.Flush();
+  observed.Flush();
+  EXPECT_EQ(replayed.online_negative_bits(), observed.online_negative_bits());
+  EXPECT_EQ(replayed.online_timestamps(), observed.online_timestamps());
 }
 
 TEST_F(CoreFixture, ProcessArrivalFeedsMonitorAndAutoRefreshes) {

@@ -82,8 +82,6 @@ TEST(MonitorValidateTest, PassesAcrossBucketLifecycle) {
   monitor.CheckInvariants();  // first bucket closed, second open
   monitor.Flush();
   monitor.CheckInvariants();
-  monitor.Reset(80.0, 5);
-  monitor.CheckInvariants();
 }
 
 // The full system, validated at commit boundaries of a live online run:
