@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/anot.h"
+#include "core/candidates.h"
 #include "core/duration.h"
 #include "io/checkpoint.h"
 #include "datagen/generator.h"
@@ -153,6 +154,27 @@ void BM_MdlNegativeErrorBits(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_MdlNegativeErrorBits);
+
+// Candidate generation alone (the build's serial first stage) on the
+// shared 12k-fact world. Counters: distinct edge keys generated, and edges
+// materialized (at or above their admissibility bound k_min, then capped).
+void BM_CandidateGeneration(benchmark::State& state) {
+  const auto& g = SharedGraph();
+  DetectorOptions opts;
+  opts.timespan_tolerance = 10;
+  const CategoryFunction categories = CategoryFunction::Build(g, opts.category);
+  size_t generated = 0;
+  size_t materialized = 0;
+  for (auto _ : state) {
+    const CandidatePool pool =
+        CandidateGenerator(g, categories, opts).Generate();
+    generated = pool.num_generated_edges;
+    materialized = pool.edges.size();
+  }
+  state.counters["generated"] = static_cast<double>(generated);
+  state.counters["materialized"] = static_cast<double>(materialized);
+}
+BENCHMARK(BM_CandidateGeneration)->UseRealTime();
 
 // Offline rule-graph construction at 1/2/4 worker threads. The build is
 // bit-identical across thread counts, so the rows are directly comparable

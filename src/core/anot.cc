@@ -119,7 +119,8 @@ void AnoT::ResetMonitorFromReport() {
   const double r = std::max<double>(1.0, graph_->num_relations());
   monitor_ = std::make_unique<Monitor>(report_.negative_bits,
                                        report_.num_train_timestamps,
-                                       std::max(e * e * r, 4.0), e,
+                                       std::max(e * e * r, 4.0),
+                                       Tier2Universe(graph_->num_entities()),
                                        options_->monitor);
 }
 

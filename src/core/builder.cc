@@ -67,6 +67,7 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
   CandidatePool pool =
       CandidateGenerator(graph_, categories_, options_).Generate();
   report.num_candidate_rules = pool.rules.size();
+  report.num_generated_candidate_edges = pool.num_generated_edges;
   report.num_candidate_edges = pool.edges.size();
   if (cancelled()) return out;
 
@@ -127,7 +128,7 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
   // Tier 2 prices a mapped-but-unassociated fact (its missing association
   // partner, one entity out of |E|). It must stay far below tier 1 or
   // rule admission loses its margin over the assertion-entropy cost.
-  const double tier2 = std::max(2.0, universe.num_entities);
+  const double tier2 = Tier2Universe(universe.num_entities);
   NegativeErrorLedger ledger(std::max(tier1, 4.0), tier2);
   for (const auto& [t, ids] : graph_.by_time()) {
     ledger.SetTimestampTotal(t, static_cast<uint32_t>(ids.size()));
@@ -160,7 +161,7 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
   auto rank_edges = [&](std::vector<uint32_t>* order) {
     order->resize(pool.edges.size());
     for (uint32_t i = 0; i < order->size(); ++i) (*order)[i] = i;
-    const double tier2_bits = std::log2(tier2);
+    const double tier2_bits = AssociationGainBoundBits(tier2);
     std::sort(order->begin(), order->end(), [&](uint32_t a, uint32_t b) {
       const EdgeCandidate& ea = pool.edges[a];
       const EdgeCandidate& eb = pool.edges[b];

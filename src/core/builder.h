@@ -20,6 +20,11 @@ struct BuildReport {
   size_t num_temporal_rules = 0;   // edge-only rule nodes
   size_t num_edges = 0;
   size_t num_candidate_rules = 0;
+  /// Every distinct edge key candidate generation saw.
+  size_t num_generated_candidate_edges = 0;
+  /// The materialized pool the edge pass ranks: generated edges at or
+  /// above their admissibility bound k_min, then capped at
+  /// DetectorOptions::max_candidate_edges.
   size_t num_candidate_edges = 0;
   /// Fraction of training facts mapped to a selected rule (Table 4's
   /// "proportion of explained facts").
@@ -45,6 +50,7 @@ struct BuildReport {
     v(num_temporal_rules);
     v(num_edges);
     v(num_candidate_rules);
+    v(num_generated_candidate_edges);
     v(num_candidate_edges);
     v(explained_fraction);
     v(associated_fraction);

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "mdl/encoding.h"
+#include "util/logging.h"
+
 namespace anot {
 
 namespace {
@@ -11,13 +14,34 @@ namespace {
 /// pairs).
 constexpr size_t kMaxPairLag = 8;
 
-uint64_t EdgeCandidateKey(RuleEdgeKind kind, uint32_t head, uint32_t mid,
-                          uint32_t tail) {
-  uint64_t h = internal::HashMix((static_cast<uint64_t>(head) << 32) | tail);
-  h = internal::HashMix(h ^ mid);
-  return internal::HashMix(
-      h ^ (kind == RuleEdgeKind::kTriadic ? 0xABCDu : 0u));
-}
+/// Exact identity of a candidate edge (chain edges carry mid = kInvalidId).
+struct EdgeKey {
+  RuleEdgeKind kind;
+  uint32_t head;
+  uint32_t mid;
+  uint32_t tail;
+
+  bool operator==(const EdgeKey& o) const {
+    return kind == o.kind && head == o.head && mid == o.mid && tail == o.tail;
+  }
+};
+
+struct EdgeKeyHash {
+  size_t operator()(const EdgeKey& k) const {
+    uint64_t h =
+        internal::HashMix((static_cast<uint64_t>(k.head) << 32) | k.tail);
+    h = internal::HashMix(h ^ k.mid);
+    return internal::HashMix(
+        h ^ (k.kind == RuleEdgeKind::kTriadic ? 0xABCDu : 0u));
+  }
+};
+
+/// One edge assertion as the scan met it.
+struct EdgeAssertion {
+  uint32_t slot;  // index of the edge key in EdgeScan::slots
+  FactId tail_fact;
+  Timestamp span;
+};
 
 /// Index of `rule` in the pool, appending an empty candidate on first
 /// sight. Appending may reallocate `pool->rules`, so callers hold indices,
@@ -33,32 +57,45 @@ uint32_t EnsureRule(CandidatePool* pool, const AtomicRule& rule) {
   return it->second;
 }
 
-/// Records one edge assertion, creating the edge on first sight.
-/// `edge_index` maps EdgeCandidateKey to the edge's index in `pool->edges`.
-void AddEdgeAssertion(CandidatePool* pool,
-                      dense_map<uint64_t, uint32_t>* edge_index,
-                      RuleEdgeKind kind, uint32_t head, uint32_t mid,
-                      uint32_t tail, FactId tail_fact, Timestamp span,
-                      Timestamp tolerance) {
-  const uint64_t key = EdgeCandidateKey(kind, head, mid, tail);
-  auto [it, inserted] =
-      edge_index->emplace(key, static_cast<uint32_t>(pool->edges.size()));
-  if (inserted) {
-    EdgeCandidate e;
-    e.kind = kind;
-    e.head = head;
-    e.mid = mid;
-    e.tail = tail;
-    pool->edges.push_back(std::move(e));
-  }
-  EdgeCandidate& e = pool->edges[it->second];
-  e.tail_facts.push_back(tail_fact);
-  e.timespans.push_back(span);
-  e.timespan_entropy.Add(
-      static_cast<uint64_t>(span / std::max<Timestamp>(1, tolerance)));
+/// Index of an edge endpoint's rule. Every endpoint is the rule of an
+/// existing fact, so GenerateRules has already added it: the rule pool,
+/// and with it each edge's model bits, is final before the edge phases.
+uint32_t EndpointRule(const CandidatePool& pool, const AtomicRule& rule) {
+  const auto it = pool.rule_index.find(rule);
+  ANOT_CHECK(it != pool.rule_index.end()) << "edge endpoint is not a rule";
+  return it->second;
 }
 
 }  // namespace
+
+/// What the edge phases record before any candidate is built: each
+/// distinct edge key interned into a slot (first-occurrence order) with
+/// its support, and every assertion in scan order.
+struct CandidateGenerator::EdgeScan {
+  struct Slot {
+    uint32_t support = 0;
+    FactId last_tail = kInvalidId;
+  };
+  /// Insertion-ordered, so an entry's position is its slot.
+  dense_map<EdgeKey, Slot, EdgeKeyHash> slots;
+  std::vector<EdgeAssertion> log;
+
+  /// Interns `key` and logs one assertion, at most one per (edge, tail
+  /// fact). A scan emits all of a tail fact's assertions before moving to
+  /// the next tail fact, so comparing with the slot's last tail fact is an
+  /// exact dedup.
+  void Record(const EdgeKey& key, FactId tail_fact, Timestamp span) {
+    // Two statements: the insertion may reallocate, so begin() is read
+    // only after it.
+    const auto it = slots.try_emplace(key).first;
+    const auto slot = static_cast<uint32_t>(it - slots.begin());
+    Slot& s = it->second;
+    if (s.last_tail == tail_fact) return;
+    s.last_tail = tail_fact;
+    ++s.support;
+    log.push_back({slot, tail_fact, span});
+  }
+};
 
 DeltaHistogram BuildDeltaHistogram(const TemporalKnowledgeGraph& graph,
                                    const std::vector<FactId>& fact_ids) {
@@ -105,8 +142,8 @@ void CandidateGenerator::GenerateRules(CandidatePool* pool) const {
   }
 }
 
-void CandidateGenerator::GenerateChainEdges(
-    CandidatePool* pool, dense_map<uint64_t, uint32_t>* edge_index) const {
+void CandidateGenerator::ScanChainEdges(const CandidatePool& pool,
+                                        EdgeScan* scan) const {
   // Deterministic order: sort pair keys.
   std::vector<uint64_t> pair_keys;
   pair_keys.reserve(graph_.pair_sequences().size());
@@ -128,9 +165,8 @@ void CandidateGenerator::GenerateChainEdges(
     for (size_t n = 1; n < seq.size(); ++n) {
       const Fact& tail_fact = graph_.fact(seq[n]);
       const Timestamp tail_time = AnchorTime(tail_fact, options_.tail_anchor);
-      // Bounded by kMaxPairLag entries, so a linear scan over inline
-      // storage beats a hash probe here.
-      small_vec<RelationId, 16> seen_heads;
+      // Walks back from the most recent head, so Record keeps each head
+      // relation's most recent occurrence and drops the older ones.
       const size_t lookback = std::min(n, kMaxPairLag);
       for (size_t back = 1; back <= lookback; ++back) {
         const size_t m = n - back;
@@ -138,23 +174,16 @@ void CandidateGenerator::GenerateChainEdges(
         const Timestamp head_time =
             AnchorTime(head_fact, options_.head_anchor);
         if (head_time > tail_time) continue;
-        // Most recent occurrence of each head relation only: one
-        // assertion per (edge, tail fact).
-        if (std::find(seen_heads.begin(), seen_heads.end(),
-                      head_fact.relation) != seen_heads.end()) {
-          continue;
-        }
-        seen_heads.push_back(head_fact.relation);
         const Timestamp span = tail_time - head_time;
         for (CategoryId cs : subject_cats) {
           for (CategoryId co : object_cats) {
             const uint32_t head_idx =
-                EnsureRule(pool, AtomicRule{cs, head_fact.relation, co});
+                EndpointRule(pool, AtomicRule{cs, head_fact.relation, co});
             const uint32_t tail_idx =
-                EnsureRule(pool, AtomicRule{cs, tail_fact.relation, co});
-            AddEdgeAssertion(pool, edge_index, RuleEdgeKind::kChain,
-                             head_idx, kInvalidId, tail_idx, seq[n], span,
-                             options_.timespan_tolerance);
+                EndpointRule(pool, AtomicRule{cs, tail_fact.relation, co});
+            scan->Record(
+                {RuleEdgeKind::kChain, head_idx, kInvalidId, tail_idx},
+                seq[n], span);
           }
         }
       }
@@ -162,8 +191,8 @@ void CandidateGenerator::GenerateChainEdges(
   }
 }
 
-void CandidateGenerator::GenerateTriadicEdges(
-    CandidatePool* pool, dense_map<uint64_t, uint32_t>* edge_index) const {
+void CandidateGenerator::ScanTriadicEdges(const CandidatePool& pool,
+                                          EdgeScan* scan) const {
   const Timestamp window = options_.timespan_tolerance;
   for (FactId id = 0; id < static_cast<FactId>(graph_.num_facts()); ++id) {
     const Fact& f = graph_.fact(id);  // the closing fact (s, r_p, h, t)
@@ -182,9 +211,16 @@ void CandidateGenerator::GenerateTriadicEdges(
         [this](Timestamp lhs, FactId rhs) {
           return lhs < graph_.fact(rhs).time;
         });
+    // Endpoint rules, looked up once per closing fact and once per head:
+    // tails[i][j] = (cs_i, r_p, ch_j).
+    small_vec<uint32_t, 16> tails;
+    for (CategoryId cs : cs_list) {
+      for (CategoryId ch : ch_list) {
+        tails.push_back(EndpointRule(pool, AtomicRule{cs, f.relation, ch}));
+      }
+    }
     size_t emitted = 0;
     size_t scanned = 0;
-    dense_set<uint64_t> local_edges;
     for (auto rit = std::make_reverse_iterator(upper);
          rit != s_facts->rend() && scanned < kMaxInstantiationScan;
          ++rit, ++scanned) {
@@ -217,22 +253,27 @@ void CandidateGenerator::GenerateTriadicEdges(
       const Fact& g2 = graph_.fact(g2_id);
       const Timestamp span = t - std::max(t1, t2_best);
 
+      // heads[i][k] = (cs_i, r_m, cp_k); mids[j][k] = (ch_j, r_n, cp_k).
+      const auto& cp_list = categories_.Categories(p);
+      const size_t ncp = cp_list.size();
+      small_vec<uint32_t, 16> heads;
       for (CategoryId cs : cs_list) {
-        for (CategoryId ch : ch_list) {
-          for (CategoryId cp : categories_.Categories(p)) {
-            const uint32_t head_idx =
-                EnsureRule(pool, AtomicRule{cs, g1.relation, cp});
-            const uint32_t mid_idx =
-                EnsureRule(pool, AtomicRule{ch, g2.relation, cp});
-            const uint32_t tail_idx =
-                EnsureRule(pool, AtomicRule{cs, f.relation, ch});
-            const uint64_t ekey = EdgeCandidateKey(
-                RuleEdgeKind::kTriadic, head_idx, mid_idx, tail_idx);
-            // One assertion per (edge, tail fact).
-            if (!local_edges.insert(ekey).second) continue;
-            AddEdgeAssertion(pool, edge_index, RuleEdgeKind::kTriadic,
-                             head_idx, mid_idx, tail_idx, id, span,
-                             options_.timespan_tolerance);
+        for (CategoryId cp : cp_list) {
+          heads.push_back(EndpointRule(pool, AtomicRule{cs, g1.relation, cp}));
+        }
+      }
+      small_vec<uint32_t, 16> mids;
+      for (CategoryId ch : ch_list) {
+        for (CategoryId cp : cp_list) {
+          mids.push_back(EndpointRule(pool, AtomicRule{ch, g2.relation, cp}));
+        }
+      }
+      for (size_t i = 0; i < cs_list.size(); ++i) {
+        for (size_t j = 0; j < ch_list.size(); ++j) {
+          for (size_t k = 0; k < ncp; ++k) {
+            scan->Record({RuleEdgeKind::kTriadic, heads[i * ncp + k],
+                          mids[j * ncp + k], tails[i * ch_list.size() + j]},
+                         id, span);
           }
         }
       }
@@ -244,9 +285,53 @@ void CandidateGenerator::GenerateTriadicEdges(
 CandidatePool CandidateGenerator::Generate() const {
   CandidatePool pool;
   GenerateRules(&pool);
-  dense_map<uint64_t, uint32_t> edge_index;
-  GenerateChainEdges(&pool, &edge_index);
-  if (options_.use_triadic) GenerateTriadicEdges(&pool, &edge_index);
+  {
+    EdgeScan scan;
+    ScanChainEdges(pool, &scan);
+    if (options_.use_triadic) ScanTriadicEdges(pool, &scan);
+    pool.num_generated_edges = scan.slots.size();
+
+    // Admissibility bound. Every endpoint is the rule of an existing fact,
+    // so GenerateRules fixed the rule pool and with it each edge's model
+    // bits; an edge below k_min can never be admitted (mdl/encoding.h).
+    MdlUniverse universe;
+    universe.num_entities = static_cast<double>(graph_.num_entities());
+    universe.num_candidate_rules = static_cast<double>(pool.rules.size());
+    const size_t min_chain = MinAdmissibleEdgeSupport(universe, false);
+    const size_t min_triadic = MinAdmissibleEdgeSupport(universe, true);
+
+    // Materialize the surviving slots in slot order, then replay the log
+    // in scan order: each survivor's vectors and entropy accumulator see
+    // exactly the sequence they would have seen had every edge been built.
+    std::vector<uint32_t> edge_of_slot(scan.slots.size(), kInvalidId);
+    uint32_t slot = 0;
+    for (const auto& [key, state] : scan.slots) {
+      const size_t min_support =
+          key.kind == RuleEdgeKind::kTriadic ? min_triadic : min_chain;
+      const uint32_t support = state.support;
+      if (support >= min_support) {
+        edge_of_slot[slot] = static_cast<uint32_t>(pool.edges.size());
+        EdgeCandidate& e = pool.edges.emplace_back();
+        e.kind = key.kind;
+        e.head = key.head;
+        e.mid = key.mid;
+        e.tail = key.tail;
+        e.tail_facts.reserve(support);
+        e.timespans.reserve(support);
+      }
+      ++slot;
+    }
+    const Timestamp bucket =
+        std::max<Timestamp>(1, options_.timespan_tolerance);
+    for (const EdgeAssertion& a : scan.log) {
+      const uint32_t idx = edge_of_slot[a.slot];
+      if (idx == kInvalidId) continue;
+      EdgeCandidate& e = pool.edges[idx];
+      e.tail_facts.push_back(a.tail_fact);
+      e.timespans.push_back(a.span);
+      e.timespan_entropy.Add(static_cast<uint64_t>(a.span / bucket));
+    }
+  }
 
   if (pool.edges.size() > options_.max_candidate_edges) {
     // Keep the highest-support edges; stable/deterministic.

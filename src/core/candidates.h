@@ -81,9 +81,13 @@ struct EdgeCandidate {
 /// \brief Candidate pools generated from the offline TKG.
 struct CandidatePool {
   std::vector<RuleCandidate> rules;
+  /// The materialized edges: those at or above their admissibility bound,
+  /// capped at DetectorOptions::max_candidate_edges.
   std::vector<EdgeCandidate> edges;
   /// rule -> index in `rules`.
   dense_map<AtomicRule, uint32_t, AtomicRuleHash> rule_index;
+  /// Distinct edge keys the scan generated, before the bound and the cap.
+  size_t num_generated_edges = 0;
 };
 
 /// \brief Generates candidate atomic rules and rule edges (§4.3.2).
@@ -94,11 +98,19 @@ struct CandidatePool {
 /// (s,r_m,p), (h,r_n,p) co-occurring within L followed by (s,r_p,h).
 ///
 /// Generation is serial: each phase is one scan (facts in id order, pair
-/// sequences in key order) that appends rules and edges to the pool in
-/// first-occurrence order and feeds every entropy accumulator in scan
-/// order, so the pool is a pure function of the graph, the category
-/// function and the options. `AnoTOptions::num_threads` parallelizes the
-/// category passes and candidate costing, not this.
+/// sequences in key order) that appends rules to the pool and interns edge
+/// keys in first-occurrence order, so the pool is a pure function of the
+/// graph, the category function and the options.
+/// `AnoTOptions::num_threads` parallelizes the category passes and
+/// candidate costing, not this.
+///
+/// Edges are counted before they are built. Only an edge whose support
+/// reaches k_min = MinAdmissibleEdgeSupport (mdl/encoding.h) is
+/// materialized: below it, even associating every tail fact saves at most
+/// support * log2 U2 bits, no more than the edge's own model bits, so
+/// selection could never admit it. Survivors keep their first-occurrence
+/// order and feed their entropy accumulators in scan order, so the rule
+/// graph is the one selection over every generated edge would build.
 class CandidateGenerator {
  public:
   /// The fourth parameter is unused: generation runs serially. It is kept
@@ -107,18 +119,19 @@ class CandidateGenerator {
                      const CategoryFunction& categories,
                      const DetectorOptions& options, size_t /*unused*/ = 1);
 
-  /// Runs generation. Edges beyond options.max_candidate_edges are dropped
-  /// lowest-support-first (deterministically).
+  /// Runs generation. Edges below their admissibility bound k_min are
+  /// never built; if more than options.max_candidate_edges survive, the
+  /// lowest-support survivors are dropped (stable, so deterministic).
   CandidatePool Generate() const;
 
  private:
+  struct EdgeScan;
+
   void GenerateRules(CandidatePool* pool) const;
-  /// `edge_index` maps an edge's key to its index in `pool->edges`; the
-  /// chain and triadic phases share it.
-  void GenerateChainEdges(CandidatePool* pool,
-                          dense_map<uint64_t, uint32_t>* edge_index) const;
-  void GenerateTriadicEdges(CandidatePool* pool,
-                            dense_map<uint64_t, uint32_t>* edge_index) const;
+  /// The edge phases intern edge keys into `scan` and log each assertion;
+  /// the triadic phase continues the chain phase's slot numbering.
+  void ScanChainEdges(const CandidatePool& pool, EdgeScan* scan) const;
+  void ScanTriadicEdges(const CandidatePool& pool, EdgeScan* scan) const;
 
   // anot-own: stack-scoped generation pass owned by RuleGraphBuilder's
   // Build() frame — the referenced graph/categories/options outlive that

@@ -34,6 +34,24 @@ double RuleEdgeBits(const MdlUniverse& universe, bool triadic) {
   return (triadic ? 3.0 : 2.0) * Log2(pool) + 1.0;
 }
 
+double Tier2Universe(double num_entities) {
+  return std::max(2.0, num_entities);
+}
+
+double AssociationGainBoundBits(double tier2_universe) {
+  return Log2(tier2_universe);
+}
+
+size_t MinAdmissibleEdgeSupport(const MdlUniverse& universe, bool triadic) {
+  const double per_fact =
+      AssociationGainBoundBits(Tier2Universe(universe.num_entities)) +
+      kAssociationGainSlackBits;
+  // k < k_min  <=>  k <= floor(bits / per_fact)  <=>  k * per_fact <= bits.
+  return static_cast<size_t>(
+             std::floor(RuleEdgeBits(universe, triadic) / per_fact)) +
+         1;
+}
+
 double NegativeErrorBitsAt(double tier1_universe, double tier2_universe,
                            double total, double mapped, double associated) {
   mapped = std::min(mapped, total);

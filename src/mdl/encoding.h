@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 
@@ -42,11 +43,41 @@ double AtomicRuleBits(const MdlUniverse& universe, double subject_cat_count,
 /// three). Endpoint codes use the candidate-rule universe.
 double RuleEdgeBits(const MdlUniverse& universe, bool triadic);
 
+/// Eq. 8's tier-2 universe U2 = max(2, |E|): the universe for identifying
+/// a mapped fact's missing association partner. The builder's ledger, the
+/// monitor and the candidate-edge support bound all read U2 from here.
+double Tier2Universe(double num_entities);
+
+/// B = log2 U2: the most that associating one more mapped fact can lower
+/// NegativeErrorBitsAt, whatever the counters. Without the clamp, the
+/// tier-2 term drops by log2((U2 - associated) / unassociated) <= log2 U2;
+/// in the `unassociated + 1` clamp regime it drops by
+/// log2((u + 1) / u) <= 1 bit, and U2 >= 2 makes that <= B as well. The
+/// tier-1 term does not move. So associating k facts lowers the
+/// negative-error cost by at most k * B.
+double AssociationGainBoundBits(double tier2_universe);
+
+/// Per-fact slack added to B before it is compared with a model cost:
+/// covers the floating-point error of the lgamma-based Log2Binomial
+/// differences that CostDelta sums (below 1e-9 bits per fact for U2 up to
+/// 2e5, measured on random counter states), a thousandfold over.
+inline constexpr double kAssociationGainSlackBits = 1e-6;
+
+/// k_min: the least support at which a rule edge of the given kind can
+/// ever shorten the description length. An edge is admitted only when its
+/// negative-error saving exceeds RuleEdgeBits plus its (non-negative)
+/// assertion bits, and that saving is at most support * B. So an edge
+/// with support * (B + kAssociationGainSlackBits) <= RuleEdgeBits is
+/// never admitted, under any ledger state. Reads `num_entities` and
+/// `num_candidate_rules` of `universe`.
+size_t MinAdmissibleEdgeSupport(const MdlUniverse& universe, bool triadic);
+
 /// Per-timestamp negative-error bits, Eq. 8 two-tier realization:
 ///   tier 1 (unmapped):     log2 C(U1 - mapped, total - mapped)
 ///   tier 2 (unassociated): log2 C(U2 - associated, mapped - associated)
 /// with U1 = |E|^2 * |R| the position universe of one timestamp and
-/// U2 = |E| the universe for identifying the missing association partner.
+/// U2 = Tier2Universe(|E|) the universe for identifying the missing
+/// association partner.
 /// U2 << U1 makes explaining *concepts* (atomic rules) strictly more
 /// valuable than explaining *order* (rule edges), which realizes the
 /// paper's rules-then-edges selection order.

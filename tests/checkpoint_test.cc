@@ -299,6 +299,15 @@ TEST_F(CheckpointFixture, FreshBuildRoundTripsBeforeAnyArrival) {
   Result<AnoT> loaded = AnoT::LoadCheckpoint(path);
   std::filesystem::remove(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  // Both candidate-edge counts survive the round trip: every generated
+  // edge key, and the materialized pool the edge pass ranked.
+  const BuildReport& saved = system.report();
+  const BuildReport& restored = loaded.value().report();
+  EXPECT_GT(saved.num_generated_candidate_edges, saved.num_candidate_edges);
+  EXPECT_EQ(restored.num_generated_candidate_edges,
+            saved.num_generated_candidate_edges);
+  EXPECT_EQ(restored.num_candidate_edges, saved.num_candidate_edges);
+  EXPECT_EQ(restored.total_bits(), saved.total_bits());
   const size_t n = std::min<size_t>(50, stream_->size());
   for (size_t i = 0; i < n; ++i) {
     ExpectScoresIdentical(system.Score((*stream_)[i]),

@@ -102,25 +102,62 @@ TEST_F(CoreFixture, CandidateGenerationProducesRulesAndEdges) {
     EXPECT_EQ(c.subject_entropy.total(), c.assertions.size());
   }
   // Edge endpoints reference valid rule candidates; timespans nonnegative.
+  // Every assertion's tail fact is one the tail rule describes: edges are
+  // keyed on the exact (kind, head, mid, tail), so no two edges' assertions
+  // can merge.
+  auto has = [](const std::vector<CategoryId>& cats, CategoryId c) {
+    return std::find(cats.begin(), cats.end(), c) != cats.end();
+  };
   bool saw_triadic = false;
   for (const auto& e : pool.edges) {
-    EXPECT_LT(e.head, pool.rules.size());
-    EXPECT_LT(e.tail, pool.rules.size());
+    ASSERT_LT(e.head, pool.rules.size());
+    ASSERT_LT(e.tail, pool.rules.size());
     saw_triadic |= (e.kind == RuleEdgeKind::kTriadic);
     for (Timestamp s : e.timespans) EXPECT_GE(s, 0);
     EXPECT_EQ(e.tail_facts.size(), e.timespans.size());
+    EXPECT_EQ(e.timespan_entropy.total(), e.tail_facts.size());
+    const AtomicRule& tail = pool.rules[e.tail].rule;
+    for (FactId id : e.tail_facts) {
+      const Fact& f = train_->fact(id);
+      EXPECT_EQ(f.relation, tail.relation);
+      EXPECT_TRUE(has(categories.Categories(f.subject), tail.subject_category));
+      EXPECT_TRUE(has(categories.Categories(f.object), tail.object_category));
+    }
   }
   EXPECT_TRUE(saw_triadic);
+  EXPECT_GT(pool.num_generated_edges, pool.edges.size());
 }
 
 TEST_F(CoreFixture, CandidateEdgeCapRespected) {
   auto categories =
       CategoryFunction::Build(*train_, TestDetectorOptions().category);
   DetectorOptions opts = TestDetectorOptions();
+  const CandidatePool uncapped =
+      CandidateGenerator(*train_, categories, opts).Generate();
+  // More than 50 edges pass the admissibility bound, so the cap binds.
+  ASSERT_GT(uncapped.edges.size(), 50u);
   opts.max_candidate_edges = 50;
-  CandidateGenerator generator(*train_, categories, opts);
-  CandidatePool pool = generator.Generate();
-  EXPECT_LE(pool.edges.size(), 50u);
+  const CandidatePool pool =
+      CandidateGenerator(*train_, categories, opts).Generate();
+  ASSERT_EQ(pool.edges.size(), 50u);
+  EXPECT_EQ(pool.num_generated_edges, uncapped.num_generated_edges);
+  // The kept edges are the highest-support survivors, in pool order.
+  std::vector<size_t> supports;
+  for (const EdgeCandidate& e : uncapped.edges) supports.push_back(e.support());
+  std::sort(supports.rbegin(), supports.rend());
+  size_t min_kept = supports.front();
+  size_t j = 0;
+  for (const EdgeCandidate& e : pool.edges) {
+    auto same = [&e](const EdgeCandidate& u) {
+      return u.kind == e.kind && u.head == e.head && u.mid == e.mid &&
+             u.tail == e.tail && u.tail_facts == e.tail_facts;
+    };
+    while (j < uncapped.edges.size() && !same(uncapped.edges[j])) ++j;
+    ASSERT_LT(j, uncapped.edges.size()) << "kept edge not in pool order";
+    ++j;
+    min_kept = std::min(min_kept, e.support());
+  }
+  EXPECT_EQ(min_kept, supports[49]);
 }
 
 // --------------------------------------------------------------- Builder
@@ -137,6 +174,31 @@ TEST_F(CoreFixture, BuildReportIsCoherent) {
   EXPECT_GT(report.model_bits, 0.0);
   EXPECT_GT(report.negative_bits, 0.0);
   EXPECT_GT(report.build_seconds, 0.0);
+  EXPECT_GT(report.num_generated_candidate_edges, report.num_candidate_edges);
+  EXPECT_GE(report.num_candidate_edges, report.num_edges);
+}
+
+TEST_F(CoreFixture, SelectedEdgesClearTheAdmissibilityBound) {
+  // An edge is admitted only if support * B exceeds its model bits, with
+  // B = log2 U2 the most one association can save (mdl/encoding.h).
+  const BuildReport& report = anot_->report();
+  MdlUniverse universe;
+  universe.num_entities = static_cast<double>(train_->num_entities());
+  universe.num_candidate_rules =
+      static_cast<double>(report.num_candidate_rules);
+  const double b =
+      AssociationGainBoundBits(Tier2Universe(universe.num_entities));
+  const RuleGraph& rules = anot_->rules();
+  ASSERT_GT(rules.num_edges(), 0u);
+  for (RuleEdgeId id = 0; id < rules.num_edges(); ++id) {
+    const RuleEdge& e = rules.edge(id);
+    const double model_bits =
+        RuleEdgeBits(universe, e.kind == RuleEdgeKind::kTriadic);
+    EXPECT_GT(static_cast<double>(e.support) * b, model_bits) << "edge " << id;
+    EXPECT_GE(e.support, MinAdmissibleEdgeSupport(
+                             universe, e.kind == RuleEdgeKind::kTriadic))
+        << "edge " << id;
+  }
 }
 
 TEST_F(CoreFixture, SelectionShrinksDescriptionLength) {
@@ -262,8 +324,13 @@ TEST_F(CoreFixture, CandidatePoolMatchesGoldenFingerprint) {
   const CandidatePool pool =
       CandidateGenerator(*train_, categories, opts).Generate();
   EXPECT_EQ(pool.rules.size(), 2108u);
-  EXPECT_EQ(pool.edges.size(), 17345u);
-  EXPECT_EQ(PoolFingerprint(pool), 0x7041a70d64d5478fULL);
+  // 17,345 edge keys generated; 2,381 reach k_min (3 for chain edges, 5
+  // for triadic ones: B = log2 250). The pinned pool is the full
+  // 17,345-edge pool filtered by k_min, bit for bit: the bound decides
+  // which edges exist, never what a surviving edge holds.
+  EXPECT_EQ(pool.num_generated_edges, 17345u);
+  EXPECT_EQ(pool.edges.size(), 2381u);
+  EXPECT_EQ(PoolFingerprint(pool), 0xb6bff67795fd7bc0ULL);
   EXPECT_EQ(anot_->report().total_bits(), 0x1.6a92656be5731p+15);
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
+#include <vector>
 
 #include "mdl/encoding.h"
 #include "mdl/ledger.h"
@@ -72,6 +75,124 @@ TEST(EncodingTest, MappingSavesMoreThanAssociation) {
   EXPECT_GT(tier1_saving, 0.0);
   EXPECT_GT(tier2_saving, 0.0);
   EXPECT_GT(tier1_saving, tier2_saving);
+}
+
+// ------------------------------------------------- association gain bound
+//
+// Candidate generation drops every edge with support * B <= its model
+// bits (MinAdmissibleEdgeSupport), which is sound only if associating k
+// facts never lowers the negative-error cost by more than k * B.
+
+TEST(AssociationBoundTest, Tier2UniverseIsEntitiesAtLeastTwo) {
+  EXPECT_EQ(Tier2Universe(0), 2.0);
+  EXPECT_EQ(Tier2Universe(1), 2.0);
+  EXPECT_EQ(Tier2Universe(250), 250.0);
+  EXPECT_EQ(AssociationGainBoundBits(Tier2Universe(256)), 8.0);
+}
+
+TEST(AssociationBoundTest, OneAssociationCanSaveExactlyB) {
+  // A lone unassociated fact at a fresh timestamp saves log2 U2: B is the
+  // least per-fact bound, not just an upper one.
+  for (double u2 : {2.0, 61.0, 250.0, 12000.0}) {
+    const double saving = NegativeErrorBitsAt(1e12, u2, 1, 1, 0) -
+                          NegativeErrorBitsAt(1e12, u2, 1, 1, 1);
+    EXPECT_NEAR(saving, AssociationGainBoundBits(u2), 1e-9) << u2;
+  }
+}
+
+TEST(AssociationBoundTest, ExhaustiveSmallUniversesNeverSaveMoreThanKB) {
+  // Every (U2, total, mapped, associated) state with U2 <= 12 and up to
+  // 16 facts, and every k: small U2 puts most states in the
+  // `unassociated + 1` clamp regime.
+  size_t checked = 0;
+  size_t clamped = 0;
+  for (int u2 = 2; u2 <= 12; ++u2) {
+    const double per_fact =
+        AssociationGainBoundBits(u2) + kAssociationGainSlackBits;
+    for (int total = 1; total <= 16; ++total) {
+      for (int mapped = 0; mapped <= total; ++mapped) {
+        for (int a = 0; a < mapped; ++a) {
+          clamped += (mapped - a) + 1 > u2 - a;
+          const double before = NegativeErrorBitsAt(1e6, u2, total, mapped, a);
+          for (int k = 1; a + k <= mapped; ++k) {
+            const double saving =
+                before - NegativeErrorBitsAt(1e6, u2, total, mapped, a + k);
+            ASSERT_LE(saving, k * per_fact)
+                << "U2=" << u2 << " total=" << total << " mapped=" << mapped
+                << " associated=" << a << " k=" << k;
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 10000u);
+  EXPECT_GT(clamped, 100u);
+}
+
+TEST(AssociationBoundTest, RandomLedgerStatesNeverSaveMoreThanKB) {
+  // Seeded property test through the builder's own pricing path:
+  // CostDelta over several timestamps of a ledger in a random state.
+  std::mt19937_64 rng(20240618);
+  size_t clamped = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    // Every other trial draws a tiny U2, so mapped facts can outnumber
+    // the partner universe (the clamp regime).
+    const double u2 = static_cast<double>(
+        trial % 2 == 0 ? 2 + rng() % 15 : 2 + rng() % 20000);
+    const double u1 = u2 * u2 * static_cast<double>(1 + rng() % 50);
+    NegativeErrorLedger ledger(std::max(u1, 4.0), u2);
+    std::vector<NegativeErrorLedger::TimestampDelta> deltas;
+    double k = 0;
+    const Timestamp num_times = static_cast<Timestamp>(1 + rng() % 12);
+    for (Timestamp t = 0; t < num_times; ++t) {
+      const uint32_t total = static_cast<uint32_t>(1 + rng() % 300);
+      const uint32_t mapped = static_cast<uint32_t>(rng() % (total + 1));
+      const uint32_t assoc = static_cast<uint32_t>(rng() % (mapped + 1));
+      ledger.SetTimestampTotal(t, total);
+      ledger.Apply(t, static_cast<int32_t>(mapped),
+                   static_cast<int32_t>(assoc));
+      const uint32_t unassociated = mapped - assoc;
+      if (unassociated == 0) continue;
+      clamped += unassociated + 1.0 > u2 - assoc;
+      if (rng() % 4 == 0) continue;  // leave some timestamps untouched
+      const int32_t d = static_cast<int32_t>(1 + rng() % unassociated);
+      deltas.push_back({t, {0, d}});
+      k += d;
+    }
+    const double saving = -ledger.CostDelta(deltas);
+    ASSERT_LE(saving,
+              k * (AssociationGainBoundBits(u2) + kAssociationGainSlackBits))
+        << "trial " << trial << " U2=" << u2 << " k=" << k;
+  }
+  EXPECT_GT(clamped, 100u);
+}
+
+TEST(AssociationBoundTest, MinAdmissibleSupportIsTheBoundsCrossover) {
+  for (double entities : {1.0, 61.0, 250.0, 12000.0}) {
+    for (double rules : {0.0, 64.0, 11950.0}) {
+      MdlUniverse u;
+      u.num_entities = entities;
+      u.num_candidate_rules = rules;
+      const double per_fact =
+          AssociationGainBoundBits(Tier2Universe(entities)) +
+          kAssociationGainSlackBits;
+      for (bool triadic : {false, true}) {
+        const double bits = RuleEdgeBits(u, triadic);
+        const size_t k_min = MinAdmissibleEdgeSupport(u, triadic);
+        ASSERT_GE(k_min, 1u);
+        // Below k_min no saving can pay for the edge; at k_min it may.
+        EXPECT_LE(static_cast<double>(k_min - 1) * per_fact, bits);
+        EXPECT_GT(static_cast<double>(k_min) * per_fact, bits);
+      }
+    }
+  }
+  // The audit-gdelt figures: 61 entities, 11,950 candidate rules.
+  MdlUniverse gdelt;
+  gdelt.num_entities = 61;
+  gdelt.num_candidate_rules = 11950;
+  EXPECT_EQ(MinAdmissibleEdgeSupport(gdelt, false), 5u);
+  EXPECT_EQ(MinAdmissibleEdgeSupport(gdelt, true), 8u);
 }
 
 // ------------------------------------------------------ EntropyAccumulator
