@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/witness_scan.h"
 #include "mdl/encoding.h"
 #include "util/logging.h"
 
@@ -14,27 +15,11 @@ namespace {
 /// pairs).
 constexpr size_t kMaxPairLag = 8;
 
-/// Exact identity of a candidate edge (chain edges carry mid = kInvalidId).
-struct EdgeKey {
-  RuleEdgeKind kind;
-  uint32_t head;
-  uint32_t mid;
-  uint32_t tail;
-
-  bool operator==(const EdgeKey& o) const {
-    return kind == o.kind && head == o.head && mid == o.mid && tail == o.tail;
-  }
-};
-
-struct EdgeKeyHash {
-  size_t operator()(const EdgeKey& k) const {
-    uint64_t h =
-        internal::HashMix((static_cast<uint64_t>(k.head) << 32) | k.tail);
-    h = internal::HashMix(h ^ k.mid);
-    return internal::HashMix(
-        h ^ (k.kind == RuleEdgeKind::kTriadic ? 0xABCDu : 0u));
-  }
-};
+/// Triadic-candidate fan-out: how many heads (s, r_m, p) with a co-occurring
+/// mid each closing fact is paired with, most recent first. Like
+/// kMaxPairLag a performance cap that changes the pool (the paper
+/// enumerates every head).
+constexpr size_t kMaxTriadicHeads = 8;
 
 /// One edge assertion as the scan met it.
 struct EdgeAssertion {
@@ -220,65 +205,54 @@ void CandidateGenerator::ScanTriadicEdges(const CandidatePool& pool,
       }
     }
     size_t emitted = 0;
-    size_t scanned = 0;
-    for (auto rit = std::make_reverse_iterator(upper);
-         rit != s_facts->rend() && scanned < kMaxInstantiationScan;
-         ++rit, ++scanned) {
-      if (emitted >= 8) break;
-      const FactId g1_id = *rit;
-      if (g1_id == id) continue;
-      const Fact& g1 = graph_.fact(g1_id);
-      const Timestamp t1 = AnchorTime(g1, options_.head_anchor);
-      if (t1 > t) continue;
-      const EntityId p = g1.object;
-      if (p == h || p == s) continue;
-      // Mid fact (h, r_n, p, t2) co-occurring with g1 within the window.
-      const auto* hp = graph_.FactsForPair(h, p);
-      if (hp == nullptr) continue;
-      FactId g2_id = kInvalidId;
-      Timestamp t2_best = kNoTimestamp;
-      size_t scanned2 = 0;
-      for (auto it2 = hp->rbegin();
-           it2 != hp->rend() && scanned2 < kMaxInstantiationScan;
-           ++it2, ++scanned2) {
-        const Fact& g2 = graph_.fact(*it2);
-        const Timestamp t2 = AnchorTime(g2, options_.head_anchor);
-        if (t2 > t) continue;
-        if (std::llabs(t2 - t1) > window) continue;
-        g2_id = *it2;
-        t2_best = t2;
-        break;  // most recent valid mid
-      }
-      if (g2_id == kInvalidId) continue;
-      const Fact& g2 = graph_.fact(g2_id);
-      const Timestamp span = t - std::max(t1, t2_best);
+    ScanRecentFacts(
+        graph_, s_facts->begin(), upper, options_.head_anchor, t, id,
+        [&](FactId, const Fact& g1, Timestamp t1) {
+          const EntityId p = g1.object;
+          if (p == h || p == s) return true;
+          // Mid fact (h, r_n, p, t2) co-occurring with g1 within the window.
+          const Fact* mid = nullptr;
+          Timestamp t2 = kNoTimestamp;
+          ScanRecentFacts(
+              graph_, graph_.FactsForPair(h, p), options_.head_anchor, t,
+              kInvalidId, [&](FactId, const Fact& g2, Timestamp g2_time) {
+                if (std::llabs(g2_time - t1) > window) return true;
+                mid = &g2;
+                t2 = g2_time;
+                return false;  // most recent valid mid
+              });
+          if (mid == nullptr) return true;
+          const Timestamp span = t - std::max(t1, t2);
 
-      // heads[i][k] = (cs_i, r_m, cp_k); mids[j][k] = (ch_j, r_n, cp_k).
-      const auto& cp_list = categories_.Categories(p);
-      const size_t ncp = cp_list.size();
-      small_vec<uint32_t, 16> heads;
-      for (CategoryId cs : cs_list) {
-        for (CategoryId cp : cp_list) {
-          heads.push_back(EndpointRule(pool, AtomicRule{cs, g1.relation, cp}));
-        }
-      }
-      small_vec<uint32_t, 16> mids;
-      for (CategoryId ch : ch_list) {
-        for (CategoryId cp : cp_list) {
-          mids.push_back(EndpointRule(pool, AtomicRule{ch, g2.relation, cp}));
-        }
-      }
-      for (size_t i = 0; i < cs_list.size(); ++i) {
-        for (size_t j = 0; j < ch_list.size(); ++j) {
-          for (size_t k = 0; k < ncp; ++k) {
-            scan->Record({RuleEdgeKind::kTriadic, heads[i * ncp + k],
-                          mids[j * ncp + k], tails[i * ch_list.size() + j]},
-                         id, span);
+          // heads[i][k] = (cs_i, r_m, cp_k); mids[j][k] = (ch_j, r_n, cp_k).
+          const auto& cp_list = categories_.Categories(p);
+          const size_t ncp = cp_list.size();
+          small_vec<uint32_t, 16> heads;
+          for (CategoryId cs : cs_list) {
+            for (CategoryId cp : cp_list) {
+              heads.push_back(
+                  EndpointRule(pool, AtomicRule{cs, g1.relation, cp}));
+            }
           }
-        }
-      }
-      ++emitted;
-    }
+          small_vec<uint32_t, 16> mids;
+          for (CategoryId ch : ch_list) {
+            for (CategoryId cp : cp_list) {
+              mids.push_back(
+                  EndpointRule(pool, AtomicRule{ch, mid->relation, cp}));
+            }
+          }
+          for (size_t i = 0; i < cs_list.size(); ++i) {
+            for (size_t j = 0; j < ch_list.size(); ++j) {
+              for (size_t k = 0; k < ncp; ++k) {
+                scan->Record(
+                    {RuleEdgeKind::kTriadic, heads[i * ncp + k],
+                     mids[j * ncp + k], tails[i * ch_list.size() + j]},
+                    id, span);
+              }
+            }
+          }
+          return ++emitted < kMaxTriadicHeads;
+        });
   }
 }
 

@@ -33,12 +33,6 @@ enum class RankingMode {
   kAssertionsOnly,  // ablation: |A| only (Table 3 variant)
 };
 
-/// Scan cap on each backward walk over a pair or subject sequence during
-/// instantiation: the scorer's witness and out-edge scans, the updater's
-/// chain-edge wiring and triadic candidate generation (keeps scoring
-/// O(f_max), §4.6).
-inline constexpr size_t kMaxInstantiationScan = 64;
-
 /// \brief All detector hyper-parameters (paper §5.2 grid).
 struct DetectorOptions {
   CategoryFunctionOptions category;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/witness_scan.h"
 #include "util/logging.h"
 
 namespace anot {
@@ -33,14 +34,13 @@ Scorer::Scorer(const TemporalKnowledgeGraph* graph,
   ANOT_CHECK(graph_ && categories_ && rules_ && options_);
 }
 
-bool Scorer::RuleMatchesFact(const AtomicRule& rule, EntityId subject,
-                             RelationId relation, EntityId object) const {
-  if (rule.relation != relation) return false;
-  const auto& cs = categories_->Categories(subject);
+bool Scorer::RuleMatchesFact(const AtomicRule& rule, const Fact& fact) const {
+  if (rule.relation != fact.relation) return false;
+  const auto& cs = categories_->Categories(fact.subject);
   if (!std::binary_search(cs.begin(), cs.end(), rule.subject_category)) {
     return false;
   }
-  const auto& co = categories_->Categories(object);
+  const auto& co = categories_->Categories(fact.object);
   return std::binary_search(co.begin(), co.end(), rule.object_category);
 }
 
@@ -103,73 +103,51 @@ std::optional<Instantiation> Scorer::TryInstantiate(
     // A prior fact of the head rule on the same (s, o) pair. Evidence is
     // existential, so among admissible witnesses we keep the one whose
     // timespan agrees best with T(e) (minimal θ).
-    const auto* seq = graph_->FactsForPair(fact.subject, fact.object);
-    if (seq == nullptr) return std::nullopt;
     std::optional<Instantiation> best;
-    size_t scanned = 0;
-    for (auto it = seq->rbegin();
-         it != seq->rend() && scanned < kMaxInstantiationScan;
-         ++it, ++scanned) {
-      if (*it == exclude_witness) continue;
-      const Fact& g = graph_->fact(*it);
-      const Timestamp head_time = AnchorTime(g, options_->head_anchor);
-      if (head_time > tail_time) continue;
-      if (!RuleMatchesFact(head_rule, g.subject, g.relation, g.object)) {
-        continue;
-      }
-      Instantiation inst{*it, tail_time - head_time, 0};
-      inst.agreements =
-          CountAgreements(edge, inst.delta, options_->timespan_tolerance);
-      if (!best.has_value() || inst.agreements > best->agreements) {
-        best = inst;
-      }
-      if (best->agreements == edge.timespans.size()) break;  // maximal
-    }
+    ScanRecentFacts(
+        *graph_, graph_->FactsForPair(fact.subject, fact.object),
+        options_->head_anchor, tail_time, exclude_witness,
+        [&](FactId id, const Fact& g, Timestamp head_time) {
+          if (!RuleMatchesFact(head_rule, g)) return true;
+          Instantiation inst{id, tail_time - head_time, 0};
+          inst.agreements =
+              CountAgreements(edge, inst.delta, options_->timespan_tolerance);
+          if (!best.has_value() || inst.agreements > best->agreements) {
+            best = inst;
+          }
+          return best->agreements != edge.timespans.size();  // maximal
+        });
     return best;
   }
 
   // Triadic: prior facts (s, r_m, p) and (o, r_n, p) co-occurring within L.
   const AtomicRule& mid_rule = rules_->rule(edge.mid);
-  const auto* s_facts = graph_->FactsBySubject(fact.subject);
-  if (s_facts == nullptr) return std::nullopt;
   const Timestamp window = options_->timespan_tolerance;
   std::optional<Instantiation> best;
-  size_t scanned = 0;
-  for (auto it = s_facts->rbegin();
-       it != s_facts->rend() && scanned < kMaxInstantiationScan;
-       ++it, ++scanned) {
-    if (*it == exclude_witness) continue;
-    const Fact& g1 = graph_->fact(*it);
-    const Timestamp t1 = AnchorTime(g1, options_->head_anchor);
-    if (t1 > tail_time) continue;
-    const EntityId p = g1.object;
-    if (p == fact.object || p == fact.subject) continue;
-    if (!RuleMatchesFact(head_rule, g1.subject, g1.relation, p)) continue;
-    const auto* op = graph_->FactsForPair(fact.object, p);
-    if (op == nullptr) continue;
-    size_t scanned2 = 0;
-    for (auto it2 = op->rbegin();
-         it2 != op->rend() && scanned2 < kMaxInstantiationScan;
-         ++it2, ++scanned2) {
-      const Fact& g2 = graph_->fact(*it2);
-      const Timestamp t2 = AnchorTime(g2, options_->head_anchor);
-      if (t2 > tail_time) continue;
-      if (std::llabs(t2 - t1) > window) continue;
-      if (!RuleMatchesFact(mid_rule, g2.subject, g2.relation, g2.object)) {
-        continue;
-      }
-      Instantiation inst{*it, tail_time - std::max(t1, t2), 0};
-      inst.agreements =
-          CountAgreements(edge, inst.delta, options_->timespan_tolerance);
-      if (!best.has_value() || inst.agreements > best->agreements) {
-        best = inst;
-      }
-      break;  // most recent admissible mid for this head
-    }
-    if (best.has_value() && best->agreements == edge.timespans.size()) {
-      break;
-    }
-  }
+  ScanRecentFacts(
+      *graph_, graph_->FactsBySubject(fact.subject), options_->head_anchor,
+      tail_time, exclude_witness,
+      [&](FactId g1_id, const Fact& g1, Timestamp t1) {
+        const EntityId p = g1.object;
+        if (p == fact.object || p == fact.subject) return true;
+        if (!RuleMatchesFact(head_rule, g1)) return true;
+        ScanRecentFacts(
+            *graph_, graph_->FactsForPair(fact.object, p),
+            options_->head_anchor, tail_time, kInvalidId,
+            [&](FactId, const Fact& g2, Timestamp t2) {
+              if (std::llabs(t2 - t1) > window) return true;
+              if (!RuleMatchesFact(mid_rule, g2)) return true;
+              Instantiation inst{g1_id, tail_time - std::max(t1, t2), 0};
+              inst.agreements = CountAgreements(
+                  edge, inst.delta, options_->timespan_tolerance);
+              if (!best.has_value() || inst.agreements > best->agreements) {
+                best = inst;
+              }
+              return false;  // most recent admissible mid for this head
+            });
+        return !best.has_value() ||
+               best->agreements != edge.timespans.size();  // maximal
+      });
   return best;
 }
 
@@ -282,6 +260,8 @@ Scores Scorer::Score(const Fact& fact, Evidence* evidence) const {
   // ---- Out-edge violations (Eq. 10 extension) -------------------------------
   // The paper's "can be further extended" remark; needed for the
   // Trump/outgoing-president case.
+  const auto* pair = graph_->FactsForPair(fact.subject, fact.object);
+  const Timestamp head_time = AnchorTime(fact, options_->head_anchor);
   for (RuleId id : mapped) {
     for (RuleEdgeId out_id : rules_->OutEdges(id)) {
       const RuleEdge& edge = rules_->edge(out_id);
@@ -294,23 +274,14 @@ Scores Scorer::Score(const Fact& fact, Evidence* evidence) const {
       // The successor pattern already occurred before this knowledge:
       // an occurrence-order conflict.
       const AtomicRule& tail_rule = rules_->rule(edge.tail);
-      const auto* seq = graph_->FactsForPair(fact.subject, fact.object);
-      if (seq == nullptr) continue;
-      size_t scanned = 0;
-      for (auto it = seq->rbegin();
-           it != seq->rend() && scanned < kMaxInstantiationScan;
-           ++it, ++scanned) {
-        const Fact& g = graph_->fact(*it);
-        if (AnchorTime(g, options_->tail_anchor) >
-            AnchorTime(fact, options_->head_anchor)) {
-          continue;
-        }
-        if (RuleMatchesFact(tail_rule, g.subject, g.relation, g.object)) {
-          ++scores.out_violations;
-          if (evidence != nullptr) evidence->violations.push_back(out_id);
-          break;
-        }
-      }
+      ScanRecentFacts(
+          *graph_, pair, options_->tail_anchor, head_time, kInvalidId,
+          [&](FactId, const Fact& g, Timestamp) {
+            if (!RuleMatchesFact(tail_rule, g)) return true;
+            ++scores.out_violations;
+            if (evidence != nullptr) evidence->violations.push_back(out_id);
+            return false;
+          });
     }
   }
 

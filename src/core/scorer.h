@@ -127,8 +127,7 @@ class Scorer {
       FactId exclude_witness = kInvalidId) const;
 
  private:
-  bool RuleMatchesFact(const AtomicRule& rule, EntityId subject,
-                       RelationId relation, EntityId object) const;
+  bool RuleMatchesFact(const AtomicRule& rule, const Fact& fact) const;
   struct EdgeEvidence {
     double support = 0.0;
     double conflict = 0.0;

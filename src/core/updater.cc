@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/witness_scan.h"
 #include "util/logging.h"
 
 namespace anot {
@@ -145,9 +146,6 @@ UpdateEffects Updater::Ingest(const Fact& fact) {
 
       // Wire chain edges from temporally close facts of the same pair
       // (Alg. 3 lines 13-14; chain-based associations only, §4.4).
-      const auto* seq =
-          graph_->FactsForPair(fact.subject, fact.object);
-      if (seq == nullptr) continue;
       const Timestamp tail_time =
           AnchorTime(fact, detector_options_->tail_anchor);
       // The pair sequence is sorted by (start time, id), so the head gap
@@ -161,34 +159,29 @@ UpdateEffects Updater::Ingest(const Fact& fact) {
       const bool gap_monotone =
           !graph_->has_durations() ||
           detector_options_->head_anchor == TimeAnchor::kStart;
-      size_t scanned = 0;
-      for (auto it = seq->rbegin();
-           it != seq->rend() && scanned < kMaxInstantiationScan;
-           ++it, ++scanned) {
-        // Skip the instance just appended — but not genuinely distinct
-        // earlier occurrences of an identical fact, which are real
-        // precursors of a recurring pattern.
-        if (*it == added_fact) continue;
-        const Fact& prev = graph_->fact(*it);
-        const Timestamp head_time =
-            AnchorTime(prev, detector_options_->head_anchor);
-        if (head_time > tail_time) continue;
-        if (tail_time - head_time > detector_options_->timespan_tolerance) {
-          if (gap_monotone) break;  // older facts only get farther
-          continue;
-        }
-        const AtomicRule prev_rule{cs, prev.relation, co};
-        auto head_id = rules_->FindRule(prev_rule);
-        if (!head_id.has_value()) continue;
-        RuleEdge edge;
-        edge.kind = RuleEdgeKind::kChain;
-        edge.head = *head_id;
-        edge.tail = added;
-        edge.timespans = {tail_time - head_time};
-        edge.support = 1;
-        rules_->AddEdge(edge);
-        ++effects.new_rule_edges;
-      }
+      // Exclude the instance just appended by id — but not genuinely
+      // distinct earlier occurrences of an identical fact, which are real
+      // precursors of a recurring pattern.
+      ScanRecentFacts(
+          *graph_, graph_->FactsForPair(fact.subject, fact.object),
+          detector_options_->head_anchor, tail_time, added_fact,
+          [&](FactId, const Fact& prev, Timestamp head_time) {
+            if (tail_time - head_time >
+                detector_options_->timespan_tolerance) {
+              return !gap_monotone;  // older facts only get farther
+            }
+            auto head_id = rules_->FindRule(AtomicRule{cs, prev.relation, co});
+            if (!head_id.has_value()) return true;
+            RuleEdge edge;
+            edge.kind = RuleEdgeKind::kChain;
+            edge.head = *head_id;
+            edge.tail = added;
+            edge.timespans = {tail_time - head_time};
+            edge.support = 1;
+            rules_->AddEdge(edge);
+            ++effects.new_rule_edges;
+            return true;
+          });
     }
   }
 

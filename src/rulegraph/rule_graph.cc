@@ -110,17 +110,10 @@ void RuleGraph::AppendRules(CategoryId subject_category, RelationId relation,
   }
 }
 
-uint64_t RuleGraph::EdgeKey(RuleEdgeKind kind, RuleId head, RuleId mid,
-                            RuleId tail) {
-  uint64_t h = internal::HashMix((static_cast<uint64_t>(head) << 32) | tail);
-  h = internal::HashMix(h ^ mid);
-  return internal::HashMix(h ^ (kind == RuleEdgeKind::kTriadic ? 0x9E9Eu : 0u));
-}
-
 std::optional<RuleEdgeId> RuleGraph::FindEdge(RuleEdgeKind kind, RuleId head,
                                               RuleId mid,
                                               RuleId tail) const {
-  auto it = edge_index_.find(EdgeKey(kind, head, mid, tail));
+  auto it = edge_index_.find(EdgeKey{kind, head, mid, tail});
   if (it == edge_index_.end()) return std::nullopt;
   return it->second;
 }
@@ -142,7 +135,7 @@ Status RuleGraph::ValidateEdge(const RuleEdge& edge) const {
 }
 
 RuleEdgeId RuleGraph::AddEdge(const RuleEdge& edge) {
-  const uint64_t key = EdgeKey(edge.kind, edge.head, edge.mid, edge.tail);
+  const EdgeKey key{edge.kind, edge.head, edge.mid, edge.tail};
   auto it = edge_index_.find(key);
   if (it != edge_index_.end()) {
     // Merge: extend timespans and support of the existing edge.
@@ -259,7 +252,7 @@ void RuleGraph::CheckInvariants() const {
   std::vector<std::vector<RuleEdgeId>> want_out(n);
   for (RuleEdgeId id = 0; id < edges_.size(); ++id) {
     const RuleEdge& e = edges_[id];
-    auto indexed = edge_index_.find(EdgeKey(e.kind, e.head, e.mid, e.tail));
+    auto indexed = edge_index_.find(EdgeKey{e.kind, e.head, e.mid, e.tail});
     ANOT_CHECK(indexed != edge_index_.end() && indexed->second == id)
         << "edge index does not round-trip for edge " << id;
     want_in[e.tail].push_back(id);

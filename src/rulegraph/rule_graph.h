@@ -76,6 +76,30 @@ struct RuleEdge {
   }
 };
 
+/// \brief The exact identity of a rule edge (chain edges carry mid =
+/// kInvalidId): the one key of the rule graph's edge index and of candidate
+/// generation's edge scan.
+struct EdgeKey {
+  RuleEdgeKind kind = RuleEdgeKind::kChain;
+  RuleId head = kInvalidId;
+  RuleId mid = kInvalidId;
+  RuleId tail = kInvalidId;
+
+  bool operator==(const EdgeKey& o) const {
+    return kind == o.kind && head == o.head && mid == o.mid && tail == o.tail;
+  }
+};
+
+struct EdgeKeyHash {
+  size_t operator()(const EdgeKey& k) const {
+    uint64_t h =
+        internal::HashMix((static_cast<uint64_t>(k.head) << 32) | k.tail);
+    h = internal::HashMix(h ^ k.mid);
+    return internal::HashMix(
+        h ^ (k.kind == RuleEdgeKind::kTriadic ? 0x9E9Eu : 0u));
+  }
+};
+
 /// \brief The rule graph: the paper's TKG summarization structure.
 ///
 /// Nodes are atomic rules; edges preserve the sequential relevance between
@@ -170,9 +194,6 @@ class RuleGraph {
   void CheckInvariants() const;
 
  private:
-  static uint64_t EdgeKey(RuleEdgeKind kind, RuleId head, RuleId mid,
-                          RuleId tail);
-
   /// The rule index: each (relation, subject category) key owns a run of
   /// `keyed_rules_`, ascending by object category. A full run moves to
   /// the end of the store with twice the room, so one flat vector holds
@@ -203,7 +224,7 @@ class RuleGraph {
   std::vector<KeyedRule> keyed_rules_;
 
   std::vector<RuleEdge> edges_;
-  dense_map<uint64_t, RuleEdgeId> edge_index_;
+  dense_map<EdgeKey, RuleEdgeId, EdgeKeyHash> edge_index_;
   std::vector<EdgeList> in_edges_;
   std::vector<EdgeList> out_edges_;
 };

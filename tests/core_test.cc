@@ -11,6 +11,7 @@
 #include "core/builder.h"
 #include "core/candidates.h"
 #include "core/duration.h"
+#include "core/witness_scan.h"
 #include "datagen/generator.h"
 #include "tkg/split.h"
 
@@ -664,6 +665,124 @@ TEST(ScorerRecurrenceTest, UpdaterTimespanScanExcludesOnlyTheNewInstance) {
   const UpdateEffects first = updater.Ingest(Fact(1, 0, 10, 200));
   EXPECT_EQ(first.timespans_recorded, 0u)
       << "a first occurrence must not witness itself";
+}
+
+TEST(ScorerRecurrenceTest, ChainWitnessBehindTheScanCapIsHidden) {
+  // Facts on the pair timestamped after the tail are skipped, but each
+  // still spends a slot of the scan cap: 64 of them hide the earlier
+  // chain witness, 63 leave it as the 64th id read.
+  for (const size_t late : {size_t{63}, kMaxInstantiationScan}) {
+    RecurrenceWorld w;
+    ASSERT_NO_FATAL_FAILURE(MakeRecurrenceWorld(&w));
+    for (size_t i = 0; i < late; ++i) {
+      w.graph.AddFact(Fact(0, 0, 10, 300 + static_cast<Timestamp>(i)));
+    }
+    DetectorOptions dopts;
+    dopts.timespan_tolerance = 5;
+    Scorer scorer(&w.graph, &w.categories, &w.rules, &dopts);
+    const auto inst = scorer.TryInstantiate(w.rules.edge(0),
+                                            Fact(0, 0, 10, 200));
+    EXPECT_EQ(inst.has_value(), late < kMaxInstantiationScan)
+        << late << " later facts on the pair";
+    if (inst.has_value()) {
+      EXPECT_EQ(inst->witness, 0u);
+      EXPECT_EQ(inst->delta, 100);
+    }
+  }
+}
+
+/// The ids ScanRecentFacts visits over the pair (0, 1) of `g`, in order.
+std::vector<FactId> PairScan(const TemporalKnowledgeGraph& g,
+                             Timestamp not_after, FactId exclude) {
+  std::vector<FactId> visited;
+  ScanRecentFacts(g, g.FactsForPair(0, 1), TimeAnchor::kStart, not_after,
+                  exclude, [&](FactId id, const Fact& f, Timestamp t) {
+                    EXPECT_EQ(t, f.time);
+                    visited.push_back(id);
+                    return true;
+                  });
+  return visited;
+}
+
+constexpr Timestamp kNever = std::numeric_limits<Timestamp>::max();
+
+TEST(WitnessScanTest, VisitsNewestFirst) {
+  TemporalKnowledgeGraph g;
+  for (Timestamp t : {30, 10, 20}) g.AddFact(Fact(0, 0, 1, t));
+  EXPECT_EQ(PairScan(g, kNever, kInvalidId), (std::vector<FactId>{0, 2, 1}));
+}
+
+TEST(WitnessScanTest, StopsWhenVisitReturnsFalse) {
+  TemporalKnowledgeGraph g;
+  for (Timestamp t = 1; t <= 5; ++t) g.AddFact(Fact(0, 0, 1, t));
+  std::vector<FactId> visited;
+  ScanRecentFacts(g, g.FactsForPair(0, 1), TimeAnchor::kStart, kNever,
+                  kInvalidId, [&](FactId id, const Fact&, Timestamp) {
+                    visited.push_back(id);
+                    return visited.size() < 2;
+                  });
+  EXPECT_EQ(visited, (std::vector<FactId>{4, 3}));
+}
+
+TEST(WitnessScanTest, NullSequenceVisitsNothing) {
+  TemporalKnowledgeGraph g;
+  g.AddFact(Fact(0, 0, 1, 1));
+  ASSERT_EQ(g.FactsForPair(1, 0), nullptr);
+  size_t visits = 0;
+  ScanRecentFacts(g, g.FactsForPair(1, 0), TimeAnchor::kStart, kNever,
+                  kInvalidId, [&](FactId, const Fact&, Timestamp) {
+                    ++visits;
+                    return true;
+                  });
+  EXPECT_EQ(visits, 0u);
+}
+
+TEST(WitnessScanTest, ExcludesByIdNotByValue) {
+  TemporalKnowledgeGraph g;
+  const FactId first = g.AddFact(Fact(0, 0, 1, 7));
+  const FactId again = g.AddFact(Fact(0, 0, 1, 7));
+  ASSERT_TRUE(g.fact(first) == g.fact(again));
+  EXPECT_EQ(PairScan(g, kNever, again), (std::vector<FactId>{first}));
+}
+
+TEST(WitnessScanTest, SkipsFactsAfterTheAnchorTime) {
+  TemporalKnowledgeGraph g;
+  for (Timestamp t = 1; t <= 4; ++t) g.AddFact(Fact(0, 0, 1, t));
+  EXPECT_EQ(PairScan(g, 2, kInvalidId), (std::vector<FactId>{1, 0}));
+}
+
+TEST(WitnessScanTest, HonoursASubRangeEnd) {
+  TemporalKnowledgeGraph g;
+  for (Timestamp t = 1; t <= 5; ++t) g.AddFact(Fact(0, 0, 1, t));
+  const std::vector<FactId>& seq = *g.FactsForPair(0, 1);
+  std::vector<FactId> visited;
+  ScanRecentFacts(g, seq.begin(), seq.begin() + 3, TimeAnchor::kStart, kNever,
+                  kInvalidId, [&](FactId id, const Fact&, Timestamp) {
+                    visited.push_back(id);
+                    return true;
+                  });
+  EXPECT_EQ(visited, (std::vector<FactId>{2, 1, 0}));
+}
+
+TEST(WitnessScanTest, SkippedIdsSpendTheCap) {
+  // An admissible fact at t = 0 behind `skipped` newer ids, all after
+  // not_after = 50 or, in the mixed case, one of them excluded by id.
+  for (const bool exclude_one : {false, true}) {
+    for (const size_t skipped : {size_t{63}, kMaxInstantiationScan}) {
+      TemporalKnowledgeGraph g;
+      const FactId witness = g.AddFact(Fact(0, 0, 1, 0));
+      FactId excluded = kInvalidId;
+      if (exclude_one) excluded = g.AddFact(Fact(0, 0, 1, 10));
+      while (g.num_facts() < skipped + 1) {
+        g.AddFact(Fact(0, 0, 1, 100 + static_cast<Timestamp>(g.num_facts())));
+      }
+      const std::vector<FactId> want =
+          skipped < kMaxInstantiationScan ? std::vector<FactId>{witness}
+                                          : std::vector<FactId>{};
+      EXPECT_EQ(PairScan(g, 50, excluded), want)
+          << skipped << " skipped ids, exclude_one " << exclude_one;
+    }
+  }
 }
 
 // Linear reference for CountAgreements: |span - delta| <= L for each

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <random>
 #include <tuple>
 #include <vector>
@@ -191,19 +192,71 @@ TEST(RuleGraphTest, DuplicateEdgeMergesTimespansAndSupport) {
   EXPECT_EQ(g.edge(a).support, 3u);
 }
 
-TEST(RuleGraphTest, FindEdgeDistinguishesKindAndMid) {
-  RuleGraph g;
-  RuleId a = g.AddRule(MakeRule(0, 0, 1), true);
-  RuleId b = g.AddRule(MakeRule(0, 1, 1), true);
-  RuleId c = g.AddRule(MakeRule(1, 2, 1), true);
-  RuleEdge chain;
-  chain.head = a;
-  chain.tail = b;
-  g.AddEdge(chain);
+using EdgeTuple = std::tuple<RuleEdgeKind, RuleId, RuleId, RuleId>;
 
-  EXPECT_TRUE(g.FindEdge(RuleEdgeKind::kChain, a, kInvalidId, b).has_value());
-  EXPECT_FALSE(g.FindEdge(RuleEdgeKind::kChain, b, kInvalidId, a).has_value());
-  EXPECT_FALSE(g.FindEdge(RuleEdgeKind::kTriadic, a, c, b).has_value());
+/// Every (kind, head, mid, tail) over `num_rules` rules, chain edges with
+/// mid = kInvalidId, looked up in `g` and in the reference `table`.
+void ExpectEdgeIndexMatchesTable(const RuleGraph& g,
+                                 const std::map<EdgeTuple, RuleEdgeId>& table,
+                                 RuleId num_rules) {
+  for (RuleId head = 0; head < num_rules; ++head) {
+    for (RuleId tail = 0; tail < num_rules; ++tail) {
+      for (RuleId mid = 0; mid <= num_rules; ++mid) {
+        const RuleEdgeKind kind =
+            mid == num_rules ? RuleEdgeKind::kChain : RuleEdgeKind::kTriadic;
+        const RuleId m = mid == num_rules ? kInvalidId : mid;
+        const auto want = table.find(EdgeTuple{kind, head, m, tail});
+        const std::optional<RuleEdgeId> got = g.FindEdge(kind, head, m, tail);
+        ASSERT_EQ(got.has_value(), want != table.end())
+            << head << " " << m << " " << tail;
+        if (got.has_value()) {
+          EXPECT_EQ(*got, want->second);
+        }
+      }
+    }
+  }
+}
+
+TEST(RuleGraphTest, FindEdgeDistinguishesKindAndMid) {
+  // Few rules, so most insertions repeat an edge and must merge into it;
+  // the index is keyed on the exact (kind, head, mid, tail), so only
+  // equal tuples may merge, whatever their hashes.
+  constexpr RuleId kRules = 6;
+  std::mt19937_64 rng(2207);
+  RuleGraph g;
+  for (RuleId id = 0; id < kRules; ++id) g.AddRule(MakeRule(id, 0, 1), true);
+  std::map<EdgeTuple, RuleEdgeId> table;
+  std::map<EdgeTuple, uint32_t> support;
+  constexpr int kInsertions = 3000;
+  for (int step = 0; step < kInsertions; ++step) {
+    RuleEdge e;
+    e.kind = rng() % 2 == 0 ? RuleEdgeKind::kChain : RuleEdgeKind::kTriadic;
+    e.head = static_cast<RuleId>(rng() % kRules);
+    e.tail = static_cast<RuleId>(rng() % kRules);
+    if (e.kind == RuleEdgeKind::kTriadic) {
+      e.mid = static_cast<RuleId>(rng() % kRules);
+    }
+    e.support = 1;
+    const EdgeTuple key{e.kind, e.head, e.mid, e.tail};
+    const RuleEdgeId id = g.AddEdge(e);
+    const auto [it, inserted] = table.emplace(key, id);
+    EXPECT_EQ(id, it->second) << "edge merged into another tuple";
+    if (inserted) {
+      EXPECT_EQ(id, g.num_edges() - 1);
+    }
+    ++support[key];
+  }
+  // Vacuity guard: merges happened, and not everything merged.
+  ASSERT_LT(g.num_edges(), static_cast<size_t>(kInsertions) / 4);
+  ASSERT_GT(g.num_edges(), 100u);
+  g.CheckInvariants();
+  ExpectEdgeIndexMatchesTable(g, table, kRules);
+  for (const auto& [key, id] : table) {
+    EXPECT_EQ(g.edge(id).support, support.at(key));
+  }
+  RuleGraph copy = g;
+  copy.CheckInvariants();
+  ExpectEdgeIndexMatchesTable(copy, table, kRules);
 }
 
 TEST(RuleGraphTest, AddTimespanKeepsSorted) {
