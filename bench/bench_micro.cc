@@ -93,6 +93,10 @@ void BM_DictionaryProbe(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(hits);
   state.SetItemsProcessed(state.iterations() * names.size());
+  // Every name was added, so every timed probe must hit.
+  if (hits != state.iterations() * names.size()) {
+    state.SkipWithError("dictionary probe missed an added name");
+  }
 }
 BENCHMARK(BM_DictionaryProbe);
 
@@ -128,10 +132,31 @@ BENCHMARK(BM_PrefixSpan);
 
 // Category-function construction on a 1- and a 2-worker pool. Rows time
 // wall-clock (UseRealTime), since the shards run off the main thread.
+// Before timing, a multi-worker build must equal the 1-worker reference:
+// the same categories (combination and members) and the same C(e) for
+// every entity.
 void BM_CategoryFunctionBuild(benchmark::State& state) {
   const auto& g = SharedGraph();
   CategoryFunctionOptions opts;
   ThreadPool pool(static_cast<size_t>(state.range(0)));
+  if (state.range(0) > 1) {
+    ThreadPool serial_pool(1);
+    const CategoryFunction want =
+        CategoryFunction::Build(g, opts, &serial_pool);
+    const CategoryFunction got = CategoryFunction::Build(g, opts, &pool);
+    bool same = got.num_categories() == want.num_categories();
+    for (CategoryId c = 0; same && c < want.num_categories(); ++c) {
+      same = got.Combination(c) == want.Combination(c) &&
+             got.Members(c) == want.Members(c);
+    }
+    for (EntityId e = 0; same && e < g.num_entities(); ++e) {
+      same = got.Categories(e) == want.Categories(e);
+    }
+    if (!same) {
+      state.SkipWithError("multi-worker category build differs from 1-worker");
+      return;
+    }
+  }
   for (auto _ : state) {
     auto fn = CategoryFunction::Build(g, opts, &pool);
     benchmark::DoNotOptimize(fn.num_categories());

@@ -34,14 +34,19 @@ Scorer::Scorer(const TemporalKnowledgeGraph* graph,
   ANOT_CHECK(graph_ && categories_ && rules_ && options_);
 }
 
-bool Scorer::RuleMatchesFact(const AtomicRule& rule, const Fact& fact) const {
-  if (rule.relation != fact.relation) return false;
-  const auto& cs = categories_->Categories(fact.subject);
+bool Scorer::CategoriesMatch(const AtomicRule& rule, EntityId s,
+                             EntityId o) const {
+  const auto& cs = categories_->Categories(s);
   if (!std::binary_search(cs.begin(), cs.end(), rule.subject_category)) {
     return false;
   }
-  const auto& co = categories_->Categories(fact.object);
+  const auto& co = categories_->Categories(o);
   return std::binary_search(co.begin(), co.end(), rule.object_category);
+}
+
+bool Scorer::RuleMatchesFact(const AtomicRule& rule, const Fact& fact) const {
+  return rule.relation == fact.relation &&
+         CategoriesMatch(rule, fact.subject, fact.object);
 }
 
 small_vec<RuleId, 8> Scorer::MapToRules(const Fact& fact) const {
@@ -96,27 +101,46 @@ double Scorer::EvidenceWeight(const RuleEdge& edge,
 
 std::optional<Instantiation> Scorer::TryInstantiate(
     const RuleEdge& edge, const Fact& fact, FactId exclude_witness) const {
+  ChainWindow window;
+  return TryInstantiate(edge, fact, exclude_witness, &window);
+}
+
+std::optional<Instantiation> Scorer::TryInstantiate(
+    const RuleEdge& edge, const Fact& fact, FactId exclude_witness,
+    ChainWindow* chain_window) const {
   const Timestamp tail_time = AnchorTime(fact, options_->tail_anchor);
   const AtomicRule& head_rule = rules_->rule(edge.head);
 
   if (edge.kind == RuleEdgeKind::kChain) {
-    // A prior fact of the head rule on the same (s, o) pair. Evidence is
-    // existential, so among admissible witnesses we keep the one whose
-    // timespan agrees best with T(e) (minimal θ).
+    // A prior fact of the head rule on the same (s, o) pair. Every pair
+    // fact has the fact's own subject and object, so the head's categories
+    // are checked once and the window's entries by relation only.
+    if (!CategoriesMatch(head_rule, fact.subject, fact.object)) {
+      return std::nullopt;
+    }
+    if (!chain_window->read_) {
+      chain_window->read_ = true;
+      ScanRecentFacts(*graph_, graph_->FactsForPair(fact.subject, fact.object),
+                      options_->head_anchor, tail_time, exclude_witness,
+                      [&](FactId id, const Fact& g, Timestamp head_time) {
+                        chain_window->entries_[chain_window->size_++] = {
+                            id, g.relation, tail_time - head_time};
+                        return true;
+                      });
+    }
+    // Evidence is existential, so among admissible witnesses we keep the
+    // one whose timespan agrees best with T(e) (minimal θ); the newest
+    // wins a tie.
     std::optional<Instantiation> best;
-    ScanRecentFacts(
-        *graph_, graph_->FactsForPair(fact.subject, fact.object),
-        options_->head_anchor, tail_time, exclude_witness,
-        [&](FactId id, const Fact& g, Timestamp head_time) {
-          if (!RuleMatchesFact(head_rule, g)) return true;
-          Instantiation inst{id, tail_time - head_time, 0};
-          inst.agreements =
-              CountAgreements(edge, inst.delta, options_->timespan_tolerance);
-          if (!best.has_value() || inst.agreements > best->agreements) {
-            best = inst;
-          }
-          return best->agreements != edge.timespans.size();  // maximal
-        });
+    for (uint32_t i = 0; i < chain_window->size_; ++i) {
+      const ChainWindow::Entry& entry = chain_window->entries_[i];
+      if (entry.relation != head_rule.relation) continue;
+      const uint32_t agreements =
+          CountAgreements(edge, entry.delta, options_->timespan_tolerance);
+      if (best.has_value() && agreements <= best->agreements) continue;
+      best = Instantiation{entry.id, entry.delta, agreements};
+      if (agreements == edge.timespans.size()) break;  // maximal
+    }
     return best;
   }
 
@@ -159,7 +183,7 @@ Scorer::EdgeEvidence Scorer::EvidenceForEdge(RuleEdgeId edge_id,
   walk->visited[edge_id] = 1;
   const RuleEdge& edge = rules_->edge(edge_id);
 
-  auto inst = TryInstantiate(edge, fact);
+  auto inst = TryInstantiate(edge, fact, kInvalidId, &walk->chain_window);
   walk->instantiated[edge_id] = inst.has_value();
   if (inst.has_value()) {
     EdgeEvidence out;

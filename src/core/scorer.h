@@ -1,9 +1,11 @@
 #pragma once
 
+#include <array>
 #include <optional>
 #include <vector>
 
 #include "core/options.h"
+#include "core/witness_scan.h"
 #include "mining/category_function.h"
 #include "rulegraph/rule_graph.h"
 #include "tkg/graph.h"
@@ -101,6 +103,31 @@ class Scorer {
          const CategoryFunction* categories, const RuleGraph* rules,
          const DetectorOptions* options);
 
+  /// \brief The chain witnesses of one fact: the admissible facts of its
+  /// (s, o) pair history as one ScanRecentFacts call reads them (head
+  /// anchor, not after the fact's tail anchor time, one excluded id, the
+  /// scan cap), newest first.
+  ///
+  /// Every chain edge tried on the fact scans this same history; the
+  /// edges differ only in the head rule they filter for and the T(e) they
+  /// count agreements against. One window is read, on the first chain
+  /// edge that needs it, and every later chain edge matches against it.
+  /// A window belongs to one (fact, exclude_witness) pair: pass it to
+  /// TryInstantiate only with the fact and exclusion it was first used
+  /// with, and only while the graph does not change.
+  class ChainWindow {
+   private:
+    friend class Scorer;
+    struct Entry {
+      FactId id;
+      RelationId relation;
+      Timestamp delta;  // tail anchor minus head anchor
+    };
+    bool read_ = false;
+    uint32_t size_ = 0;
+    std::array<Entry, kMaxInstantiationScan> entries_;
+  };
+
   /// Algorithm 2 end to end. `evidence` may be nullptr. Every graph fact
   /// is an admissible witness: the serving path scores a fact before it
   /// is ingested, so the fact never witnesses itself there.
@@ -113,8 +140,9 @@ class Scorer {
 
   /// Tries to instantiate `edge` as a precursor of `fact`: is there
   /// concrete prior knowledge matching the edge's head (and mid) pattern
-  /// that the new knowledge could follow? Exposed for the updater's
-  /// timespan bookkeeping (Alg. 3 l.15).
+  /// that the new knowledge could follow? A chain edge reads a window of
+  /// its own here; callers that try several edges on one fact pass a
+  /// shared ChainWindow to the overload below.
   ///
   /// `exclude_witness` names one graph fact (by id) that must not serve
   /// as a witness — the fact itself, when it has already been ingested.
@@ -126,8 +154,18 @@ class Scorer {
       const RuleEdge& edge, const Fact& fact,
       FactId exclude_witness = kInvalidId) const;
 
+  /// The same, with chain edges matched against `chain_window`, which the
+  /// first chain edge reads and later ones share: the updater's timespan
+  /// step passes one window for all in-edges of one ingested fact.
+  std::optional<Instantiation> TryInstantiate(
+      const RuleEdge& edge, const Fact& fact, FactId exclude_witness,
+      ChainWindow* chain_window) const;
+
  private:
   bool RuleMatchesFact(const AtomicRule& rule, const Fact& fact) const;
+  /// Whether C(s) holds the rule's subject category and C(o) its object
+  /// category.
+  bool CategoriesMatch(const AtomicRule& rule, EntityId s, EntityId o) const;
   struct EdgeEvidence {
     double support = 0.0;
     double conflict = 0.0;
@@ -136,9 +174,12 @@ class Scorer {
   /// `visited[e]` is set: it records whether TryInstantiate succeeded the
   /// one time edge e was tried, at whatever depth that happened, so the
   /// association flag can be derived without a second instantiation pass.
+  /// `chain_window` is read by the first chain edge the walk tries, at any
+  /// depth, so a walk that meets no chain edge reads no pair history.
   struct Walk {
     std::vector<uint8_t> visited;
     std::vector<uint8_t> instantiated;
+    ChainWindow chain_window;
   };
   EdgeEvidence EvidenceForEdge(RuleEdgeId edge_id, const Fact& fact,
                                int depth, Walk* walk,

@@ -190,10 +190,12 @@ UpdateEffects Updater::Ingest(const Fact& fact) {
   // scans by id — value equality would also veto distinct earlier
   // occurrences of an identical recurring fact, which are real witnesses
   // (the same identity-vs-equality contract as the chain scan above).
+  // Every chain in-edge matches against one window of the pair history.
+  Scorer::ChainWindow window;
   for (RuleId mapped : scorer_.MapToRules(fact)) {
     for (RuleEdgeId in_edge : rules_->InEdges(mapped)) {
-      auto inst =
-          scorer_.TryInstantiate(rules_->edge(in_edge), fact, added_fact);
+      auto inst = scorer_.TryInstantiate(rules_->edge(in_edge), fact,
+                                         added_fact, &window);
       if (!inst.has_value()) continue;
       rules_->AddTimespan(in_edge, inst->delta);
       rules_->mutable_edge(in_edge).support += 1;

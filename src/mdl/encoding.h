@@ -2,8 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 
+#include "util/containers.h"
 #include "util/math_util.h"
 
 namespace anot {
@@ -103,7 +103,7 @@ class EntropyAccumulator {
   uint64_t total() const { return total_; }
 
  private:
-  std::unordered_map<uint64_t, uint64_t> counts_;
+  dense_map<uint64_t, uint64_t> counts_;
   double sum_clog2c_ = 0.0;
   uint64_t total_ = 0;
 };

@@ -691,6 +691,293 @@ TEST(ScorerRecurrenceTest, ChainWitnessBehindTheScanCapIsHidden) {
   }
 }
 
+// ------------------------------------------------------- Chain window
+
+/// The per-edge chain witness scan the shared Scorer::ChainWindow
+/// replaced, kept as its reference: one ScanRecentFacts call per edge,
+/// matching every pair fact against the head rule's relation and both of
+/// its categories.
+std::optional<Instantiation> PerEdgeChainScan(
+    const TemporalKnowledgeGraph& graph, const CategoryFunction& categories,
+    const RuleGraph& rules, const DetectorOptions& opts, const RuleEdge& edge,
+    const Fact& fact, FactId exclude) {
+  const Timestamp tail_time = AnchorTime(fact, opts.tail_anchor);
+  const AtomicRule& head = rules.rule(edge.head);
+  const auto has = [&](EntityId e, CategoryId c) {
+    const auto& cats = categories.Categories(e);
+    return std::binary_search(cats.begin(), cats.end(), c);
+  };
+  std::optional<Instantiation> best;
+  ScanRecentFacts(
+      graph, graph.FactsForPair(fact.subject, fact.object), opts.head_anchor,
+      tail_time, exclude, [&](FactId id, const Fact& g, Timestamp head_time) {
+        if (g.relation != head.relation ||
+            !has(g.subject, head.subject_category) ||
+            !has(g.object, head.object_category)) {
+          return true;
+        }
+        Instantiation inst{id, tail_time - head_time, 0};
+        inst.agreements =
+            CountAgreements(edge, inst.delta, opts.timespan_tolerance);
+        if (!best.has_value() || inst.agreements > best->agreements) {
+          best = inst;
+        }
+        return best->agreements != edge.timespans.size();
+      });
+  return best;
+}
+
+/// How often each case the window must get right occurred; a test that
+/// never meets a case shows nothing about it.
+struct WindowCoverage {
+  size_t probes = 0;  // (fact, exclusion, chain edge) triples compared
+  size_t hits = 0;
+  /// An admissible pair fact has the head's relation, but the head's
+  /// categories miss C(s) or C(o).
+  size_t category_misses = 0;
+  /// The witness is a distinct fact equal in value to the excluded one.
+  size_t equal_value_witnesses = 0;
+  /// Too-late ids spend cap slots, and a head-rule fact lies beyond them.
+  size_t cap_hidden = 0;
+  /// Maximal agreement was reached with older relation matches unread.
+  size_t early_maximal = 0;
+  /// The deltas along the capped scan shrink somewhere going back.
+  size_t non_monotone = 0;
+};
+
+void CountCoverage(const TemporalKnowledgeGraph& graph,
+                   const CategoryFunction& categories, const RuleGraph& rules,
+                   const DetectorOptions& opts, const RuleEdge& edge,
+                   const Fact& fact, FactId exclude,
+                   const std::optional<Instantiation>& want,
+                   WindowCoverage* cov) {
+  const auto* pair = graph.FactsForPair(fact.subject, fact.object);
+  if (pair == nullptr) return;
+  const Timestamp tail_time = AnchorTime(fact, opts.tail_anchor);
+  const AtomicRule& head = rules.rule(edge.head);
+  const auto& cs = categories.Categories(fact.subject);
+  const auto& co = categories.Categories(fact.object);
+  const bool head_categories =
+      std::binary_search(cs.begin(), cs.end(), head.subject_category) &&
+      std::binary_search(co.begin(), co.end(), head.object_category);
+  bool relation_seen = false, too_late_in_cap = false, hidden = false;
+  bool past_witness = false, shrinks = false;
+  size_t older_matches = 0;
+  Timestamp last_delta = std::numeric_limits<Timestamp>::min();
+  for (size_t slot = 0; slot < pair->size(); ++slot) {
+    const FactId id = (*pair)[pair->size() - 1 - slot];
+    if (id == exclude) continue;
+    const Fact& g = graph.fact(id);
+    const Timestamp head_time = AnchorTime(g, opts.head_anchor);
+    const bool in_cap = slot < kMaxInstantiationScan;
+    if (head_time > tail_time) {
+      too_late_in_cap = too_late_in_cap || in_cap;
+      continue;
+    }
+    const bool relation = g.relation == head.relation;
+    if (!in_cap) {
+      hidden = hidden || (relation && head_categories);
+      continue;
+    }
+    const Timestamp delta = tail_time - head_time;
+    shrinks = shrinks || delta < last_delta;
+    last_delta = delta;
+    if (!relation) continue;
+    relation_seen = true;
+    older_matches += past_witness;
+    past_witness = past_witness || (want.has_value() && id == want->witness);
+  }
+  ++cov->probes;
+  cov->hits += want.has_value();
+  cov->category_misses += relation_seen && !head_categories;
+  cov->equal_value_witnesses += want.has_value() && exclude != kInvalidId &&
+                                want->witness != exclude &&
+                                graph.fact(want->witness) == fact;
+  cov->cap_hidden += too_late_in_cap && hidden;
+  cov->early_maximal += want.has_value() &&
+                        want->agreements == edge.timespans.size() &&
+                        older_matches > 0;
+  cov->non_monotone += shrinks;
+}
+
+/// Scores every graph fact, once as an arrival (nothing excluded) and once
+/// as an ingested fact (its own id excluded), against every chain in-edge
+/// of its mapped rules. One window is shared by all edges of a (fact,
+/// exclusion) pair, as in Score and the updater; each result must equal
+/// the per-edge reference scan, and so must the single-edge overload's.
+void ExpectWindowMatchesPerEdgeScan(const TemporalKnowledgeGraph& graph,
+                                    const CategoryFunction& categories,
+                                    const RuleGraph& rules,
+                                    const DetectorOptions& opts,
+                                    WindowCoverage* cov) {
+  Scorer scorer(&graph, &categories, &rules, &opts);
+  for (FactId f = 0; f < graph.num_facts(); ++f) {
+    const Fact& fact = graph.fact(f);
+    for (const FactId exclude : {kInvalidId, f}) {
+      Scorer::ChainWindow window;
+      for (RuleId r : scorer.MapToRules(fact)) {
+        for (RuleEdgeId e : rules.InEdges(r)) {
+          const RuleEdge& edge = rules.edge(e);
+          if (edge.kind != RuleEdgeKind::kChain) continue;
+          const auto want = PerEdgeChainScan(graph, categories, rules, opts,
+                                             edge, fact, exclude);
+          const auto shared =
+              scorer.TryInstantiate(edge, fact, exclude, &window);
+          const auto single = scorer.TryInstantiate(edge, fact, exclude);
+          for (const auto* got : {&shared, &single}) {
+            ASSERT_EQ(got->has_value(), want.has_value())
+                << "fact " << f << " edge " << e << " exclude " << exclude;
+            if (!want.has_value()) continue;
+            ASSERT_EQ((*got)->witness, want->witness)
+                << "fact " << f << " edge " << e << " exclude " << exclude;
+            ASSERT_EQ((*got)->delta, want->delta);
+            ASSERT_EQ((*got)->agreements, want->agreements);
+          }
+          CountCoverage(graph, categories, rules, opts, edge, fact, exclude,
+                        want, cov);
+        }
+      }
+    }
+  }
+}
+
+/// A seeded world dense enough to meet every case of WindowCoverage. Ten
+/// (s, o) pairs carry about 250 facts each. Entity e belongs to group
+/// e / 4, whose subjects use relations {2g, 2g + 1}, so categories differ
+/// between groups. Every eighth pair fact is repeated in value under a
+/// new id. With `durations` facts run up to 30 ticks, so end-anchored
+/// deltas are not monotone along the start-sorted pair sequence. The rule
+/// graph holds every (C_s, r, C_o) rule and three chain in-edges per rule
+/// with 1-3 timespans; half the heads keep the tail's categories.
+struct DenseChainWorld {
+  TemporalKnowledgeGraph graph;
+  CategoryFunction categories;
+  RuleGraph rules;
+};
+
+void MakeDenseChainWorld(uint64_t seed, bool durations, DenseChainWorld* w) {
+  std::mt19937_64 rng(seed);
+  const auto uniform = [&](int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+  };
+  constexpr EntityId kEntities = 12;
+  constexpr RelationId kRelations = 6;
+  const auto group_relation = [&](EntityId s) {
+    return static_cast<RelationId>(2 * (s / 4) + uniform(0, 1));
+  };
+  const auto add = [&](EntityId s, RelationId r, EntityId o, Timestamp t) {
+    const Timestamp end = durations ? t + uniform(0, 30) : t;
+    w->graph.AddFact(Fact(s, r, o, t, end));
+  };
+  // Background facts give every entity its group's tokens.
+  for (EntityId e = 0; e < kEntities; ++e) {
+    for (RelationId r = 2 * (e / 4); r < 2 * (e / 4) + 2; ++r) {
+      add(e, r, (e + 1 + r) % kEntities, uniform(0, 399));
+    }
+  }
+  std::vector<std::pair<EntityId, EntityId>> pairs;
+  while (pairs.size() < 10) {
+    const auto s = static_cast<EntityId>(uniform(0, kEntities - 1));
+    const auto o = static_cast<EntityId>(uniform(0, kEntities - 1));
+    if (s != o) pairs.emplace_back(s, o);
+  }
+  for (int i = 0; i < 2500; ++i) {
+    const auto [s, o] = pairs[static_cast<size_t>(uniform(0, 9))];
+    add(s, group_relation(s), o, uniform(0, 399));
+    if (i % 8 == 0) {
+      // A copy: AddFact may reallocate the storage a reference points into.
+      const Fact last =
+          w->graph.fact(static_cast<FactId>(w->graph.num_facts() - 1));
+      w->graph.AddFact(last);
+    }
+  }
+  CategoryFunctionOptions copts;
+  copts.min_support = 3;
+  w->categories = CategoryFunction::Build(w->graph, copts);
+  const auto ncat = static_cast<CategoryId>(w->categories.num_categories());
+  ASSERT_GE(ncat, 2u);
+  for (CategoryId cs = 0; cs < ncat; ++cs) {
+    for (RelationId r = 0; r < kRelations; ++r) {
+      for (CategoryId co = 0; co < ncat; ++co) {
+        w->rules.SetSupport(w->rules.AddRule(AtomicRule{cs, r, co}, true), 4);
+      }
+    }
+  }
+  const auto nrules = static_cast<RuleId>(w->rules.num_rules());
+  for (RuleId tail = 0; tail < nrules; ++tail) {
+    for (int k = 0; k < 3; ++k) {
+      const AtomicRule& t = w->rules.rule(tail);
+      const auto r = static_cast<RelationId>(uniform(0, kRelations - 1));
+      RuleEdge edge;
+      edge.kind = RuleEdgeKind::kChain;
+      const AtomicRule same_categories{t.subject_category, r,
+                                       t.object_category};
+      edge.head = uniform(0, 1) == 0
+                      ? *w->rules.FindRule(same_categories)
+                      : static_cast<RuleId>(uniform(0, nrules - 1));
+      edge.tail = tail;
+      for (int64_t n = uniform(1, 3); n > 0; --n) {
+        edge.timespans.push_back(uniform(0, 40));
+      }
+      edge.support = 1;
+      w->rules.AddEdge(edge);
+    }
+  }
+}
+
+void ExpectCoversEveryCase(const WindowCoverage& cov, bool durations) {
+  EXPECT_GT(cov.hits, 1000u) << cov.probes << " probes";
+  EXPECT_LT(cov.hits, cov.probes);
+  EXPECT_GT(cov.category_misses, 1000u);
+  EXPECT_GT(cov.cap_hidden, 1000u);
+  EXPECT_GT(cov.early_maximal, 1000u);
+  if (durations) {
+    // A value-equal copy ends after its twin starts unless it lasts 0
+    // ticks, so end-anchored exclusion cases are rarer.
+    EXPECT_GT(cov.equal_value_witnesses, 0u);
+    EXPECT_GT(cov.non_monotone, 1000u);
+  } else {
+    EXPECT_GT(cov.equal_value_witnesses, 100u);
+    EXPECT_EQ(cov.non_monotone, 0u);
+  }
+}
+
+TEST(ChainWindowTest, MatchesPerEdgeScanOnPointGraphs) {
+  for (const uint64_t seed : {1u, 2u}) {
+    DenseChainWorld w;
+    ASSERT_NO_FATAL_FAILURE(MakeDenseChainWorld(seed, false, &w));
+    DetectorOptions dopts;
+    dopts.timespan_tolerance = 5;
+    WindowCoverage cov;
+    ASSERT_NO_FATAL_FAILURE(ExpectWindowMatchesPerEdgeScan(
+        w.graph, w.categories, w.rules, dopts, &cov));
+    ExpectCoversEveryCase(cov, false);
+  }
+}
+
+TEST(ChainWindowTest, MatchesPerEdgeScanOnEndAnchoredDurationGraphs) {
+  for (const uint64_t seed : {3u, 4u}) {
+    DenseChainWorld w;
+    ASSERT_NO_FATAL_FAILURE(MakeDenseChainWorld(seed, true, &w));
+    DetectorOptions dopts;
+    dopts.head_anchor = TimeAnchor::kEnd;
+    dopts.tail_anchor = TimeAnchor::kStart;
+    dopts.timespan_tolerance = 5;
+    WindowCoverage cov;
+    ASSERT_NO_FATAL_FAILURE(ExpectWindowMatchesPerEdgeScan(
+        w.graph, w.categories, w.rules, dopts, &cov));
+    ExpectCoversEveryCase(cov, true);
+  }
+}
+
+TEST_F(CoreFixture, ChainWindowMatchesPerEdgeScanOnTheBuiltRuleGraph) {
+  WindowCoverage cov;
+  ASSERT_NO_FATAL_FAILURE(ExpectWindowMatchesPerEdgeScan(
+      anot_->graph(), anot_->categories(), anot_->rules(),
+      TestDetectorOptions(), &cov));
+  EXPECT_GT(cov.hits, 1000u) << cov.probes << " probes";
+}
+
 /// The ids ScanRecentFacts visits over the pair (0, 1) of `g`, in order.
 std::vector<FactId> PairScan(const TemporalKnowledgeGraph& g,
                              Timestamp not_after, FactId exclude) {
