@@ -15,6 +15,7 @@
 #include "core/duration.h"
 #include "io/checkpoint.h"
 #include "datagen/generator.h"
+#include "datagen/presets.h"
 #include "mdl/encoding.h"
 #include "mining/category_function.h"
 #include "mining/prefixspan.h"
@@ -129,6 +130,42 @@ void BM_PrefixSpan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PrefixSpan);
+
+// PrefixSpan on GDELT-shaped transactions: the GDELT preset at its default
+// bench scale has ~61 entities whose token sets each hold a large share of
+// its 480 directed relation tokens. At min_support 4 there are 328,364
+// frequent itemsets of up to 3 tokens, so the 200,000-pattern cap binds.
+// Counters: patterns emitted and whether the cap was hit; the row fails
+// unless they equal those pinned values.
+void BM_PrefixSpanMine(benchmark::State& state) {
+  std::vector<std::vector<uint32_t>> txns;
+  {
+    const auto graph = SyntheticGenerator(
+        DatasetPresets::Gdelt(DatasetPresets::DefaultBenchScale("gdelt")))
+                           .Generate();
+    txns.resize(graph->num_entities());
+    for (EntityId e = 0; e < graph->num_entities(); ++e) {
+      const auto& tokens = graph->RelationTokens(e);
+      txns[e].assign(tokens.begin(), tokens.end());
+      std::sort(txns[e].begin(), txns[e].end());
+    }
+  }
+  PrefixSpan::Options opts;
+  opts.min_support = 4;
+  bool cap_hit = false;
+  const size_t patterns = PrefixSpan::Mine(txns, opts, &cap_hit).size();
+  state.counters["patterns"] = static_cast<double>(patterns);
+  state.counters["cap_hit"] = cap_hit ? 1.0 : 0.0;
+  if (patterns != 200000 || !cap_hit) {
+    state.SkipWithError("GDELT mining no longer stops at the pinned cap");
+    return;
+  }
+  for (auto _ : state) {
+    auto mined = PrefixSpan::Mine(txns, opts);
+    benchmark::DoNotOptimize(mined.data());
+  }
+}
+BENCHMARK(BM_PrefixSpanMine)->Unit(benchmark::kMillisecond);
 
 // Category-function construction on a 1- and a 2-worker pool. Rows time
 // wall-clock (UseRealTime), since the shards run off the main thread.

@@ -66,6 +66,7 @@ AnoT::BuiltStructures AnoT::BuildStructures(
     const TemporalKnowledgeGraph& graph, const AnoTOptions& options,
     ThreadPool* workers, const std::atomic<bool>* cancel) {
   BuiltStructures out;
+  CategoryMiningStats mining;
   {
     // The category build shards on the caller's pool when given one;
     // otherwise on a scoped transient pool, so pool creation stays lazy
@@ -79,7 +80,7 @@ AnoT::BuiltStructures AnoT::BuildStructures(
       }
     }
     out.categories = std::make_unique<CategoryFunction>(CategoryFunction::Build(
-        graph, options.detector.category, workers, cancel));
+        graph, options.detector.category, workers, cancel, &mining));
   }
   if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
     return out;  // incomplete: caller discards
@@ -89,6 +90,8 @@ AnoT::BuiltStructures AnoT::BuildStructures(
   auto built = builder.Build(cancel);
   out.rules = std::move(built.rule_graph);
   out.report = built.report;
+  out.report.num_mined_combinations = mining.num_mined_combinations;
+  out.report.combination_cap_hit = mining.combination_cap_hit;
   return out;
 }
 

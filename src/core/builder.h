@@ -16,6 +16,11 @@ namespace anot {
 struct BuildReport {
   double build_seconds = 0.0;
   size_t num_categories = 0;
+  /// Frequent relation combinations PrefixSpan mined for C(·), and whether
+  /// its pattern cap left any unmined (CategoryMiningStats). Set by
+  /// AnoT's build; a bare RuleGraphBuilder leaves them at zero.
+  size_t num_mined_combinations = 0;
+  bool combination_cap_hit = false;
   size_t num_rules = 0;            // selected (static) rule nodes
   size_t num_temporal_rules = 0;   // edge-only rule nodes
   size_t num_edges = 0;
@@ -46,6 +51,8 @@ struct BuildReport {
   template <class V>
   void Fields(V& v) {
     v(num_categories);
+    v(num_mined_combinations);
+    v(combination_cap_hit);
     v(num_rules);
     v(num_temporal_rules);
     v(num_edges);

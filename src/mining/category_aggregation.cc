@@ -11,20 +11,21 @@ namespace internal {
 
 namespace {
 
-std::vector<uint32_t> Union(const std::vector<uint32_t>& a,
-                            const std::vector<uint32_t>& b) {
-  std::vector<uint32_t> out;
+/// Writes a ∪ b into `out`; a reused buffer stops allocating once grown.
+void UnionInto(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
+               std::vector<uint32_t>* out) {
+  out->clear();
   std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
+                 std::back_inserter(*out));
 }
 
-std::vector<uint32_t> Intersection(const std::vector<uint32_t>& a,
-                                   const std::vector<uint32_t>& b) {
-  std::vector<uint32_t> out;
+/// Writes a ∩ b into `out`.
+void IntersectionInto(const std::vector<uint32_t>& a,
+                      const std::vector<uint32_t>& b,
+                      std::vector<uint32_t>* out) {
+  out->clear();
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
+                        std::back_inserter(*out));
 }
 
 /// Inverted index over one id field of the combos: postings[x] lists, in
@@ -75,13 +76,13 @@ bool OverlapExceeds(size_t overlap, size_t size_a, size_t size_b,
 
 }  // namespace
 
-uint64_t TokenSetKey(const std::vector<uint32_t>& tokens) {
+size_t TokenSetHash::operator()(const std::vector<uint32_t>& tokens) const {
   uint64_t h = 1469598103934665603ull;
   for (uint32_t t : tokens) {
     h ^= t + 0x9E3779B9u;
     h *= 1099511628211ull;
   }
-  return h ^ tokens.size();
+  return static_cast<size_t>(h ^ tokens.size());
 }
 
 // The round applies the pairwise tests "for i < j: member test, else
@@ -94,35 +95,36 @@ uint64_t TokenSetKey(const std::vector<uint32_t>& tokens) {
 // which is exact for every option value: the member path only proposes a
 // non-empty member intersection, and the relation path only a non-empty
 // token intersection. A proposal is materialized lazily — its token set
-// and key first, the member Union/Intersection only when the key is
-// fresh — and the member path's min_support test reads the counted
-// overlap, which equals the merged member count.
+// first, into a buffer the shard reuses, and a copy of it plus the member
+// Union/Intersection only when the set is fresh — and the member path's
+// min_support test reads the counted overlap, which equals the merged
+// member count.
 //
 // The outer index is sharded into contiguous ranges. Shards only read the
 // combos, the two indexes and `seen`; each owns its counters and records
 // its proposals in (i, j) scan order. The `seen` insertion — the one piece
 // of state a sequential scan mutates mid-scan — is replayed afterwards in
 // shard order, which equals the sequential scan order because shards are
-// contiguous i-ranges. Keys already in the pre-round `seen`, or repeated
+// contiguous i-ranges. Sets already in the pre-round `seen`, or repeated
 // within one shard, can never survive the replay, so shards drop them up
-// front (keeps the proposal buffers at O(unique keys) instead of
+// front (keeps the proposal buffers at O(unique sets) instead of
 // O(qualifying pairs)).
 std::vector<ComboCandidate> AggregateRound(
-    const std::vector<ComboCandidate>& combos, std::set<uint64_t>* seen,
+    const std::vector<ComboCandidate>& combos, TokenSetTable* seen,
     const CategoryFunctionOptions& options, ThreadPool* workers) {
   const size_t n = combos.size();
   const double threshold = options.aggregation_overlap;
   const Postings by_member = BuildPostings(combos, &ComboCandidate::members);
   const Postings by_token = BuildPostings(combos, &ComboCandidate::tokens);
   const size_t num_shards = DeterministicShardCount(n);
-  std::vector<std::vector<std::pair<uint64_t, ComboCandidate>>> proposals(
-      num_shards);
+  std::vector<std::vector<ComboCandidate>> proposals(num_shards);
   ParallelForShards(workers, n, num_shards,
                     [&](size_t shard_idx, size_t begin, size_t end) {
     auto& local = proposals[shard_idx];
-    std::set<uint64_t> local_seen;
-    auto fresh = [&](uint64_t key) {
-      return seen->count(key) == 0 && local_seen.insert(key).second;
+    TokenSetTable local_seen;
+    std::vector<uint32_t> tokens;  // the current pair's proposed token set
+    auto fresh = [&] {
+      return seen->count(tokens) == 0 && local_seen.insert(tokens).second;
     };
     std::vector<uint32_t> shared_members(n, 0);
     std::vector<uint32_t> shared_tokens(n, 0);
@@ -143,12 +145,10 @@ std::vector<ComboCandidate> AggregateRound(
         if (OverlapExceeds(member_overlap, ci.members.size(),
                            cj.members.size(), threshold)) {
           if (member_overlap > 0 && member_overlap >= options.min_support) {
-            std::vector<uint32_t> tokens = Union(ci.tokens, cj.tokens);
-            const uint64_t key = TokenSetKey(tokens);
-            if (fresh(key)) {
-              local.emplace_back(
-                  key, ComboCandidate{std::move(tokens),
-                                      Intersection(ci.members, cj.members)});
+            UnionInto(ci.tokens, cj.tokens, &tokens);
+            if (fresh()) {
+              local.push_back(ComboCandidate{tokens, {}});
+              IntersectionInto(ci.members, cj.members, &local.back().members);
             }
           }
           continue;
@@ -158,12 +158,10 @@ std::vector<ComboCandidate> AggregateRound(
         if (token_overlap > 0 &&
             OverlapExceeds(token_overlap, ci.tokens.size(), cj.tokens.size(),
                            threshold)) {
-          std::vector<uint32_t> tokens = Intersection(ci.tokens, cj.tokens);
-          const uint64_t key = TokenSetKey(tokens);
-          if (fresh(key)) {
-            local.emplace_back(
-                key, ComboCandidate{std::move(tokens),
-                                    Union(ci.members, cj.members)});
+          IntersectionInto(ci.tokens, cj.tokens, &tokens);
+          if (fresh()) {
+            local.push_back(ComboCandidate{tokens, {}});
+            UnionInto(ci.members, cj.members, &local.back().members);
           }
         }
       }
@@ -175,8 +173,10 @@ std::vector<ComboCandidate> AggregateRound(
   // candidates in deterministic pair-scan order — so first-wins dedup via
   // `seen` admits the same candidates for every thread count.
   for (auto& local : proposals) {
-    for (auto& [key, candidate] : local) {
-      if (seen->insert(key).second) added.push_back(std::move(candidate));
+    for (auto& candidate : local) {
+      if (seen->insert(candidate.tokens).second) {
+        added.push_back(std::move(candidate));
+      }
     }
   }
   return added;

@@ -3,11 +3,12 @@
 // Internal to src/mining: one aggregation round of CategoryFunction::Build
 // (paper §4.3.1), exposed so tests can pin it against the pairwise scan.
 
+#include <cstddef>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "mining/category_function.h"
+#include "util/containers.h"
 
 namespace anot {
 namespace internal {
@@ -18,8 +19,14 @@ struct ComboCandidate {
   std::vector<uint32_t> members;  // ascending
 };
 
-/// Deterministic dedup key for a token set.
-uint64_t TokenSetKey(const std::vector<uint32_t>& tokens);
+/// Hash of a token set (FNV-1a over the tokens, then the size).
+struct TokenSetHash {
+  size_t operator()(const std::vector<uint32_t>& tokens) const;
+};
+
+/// Token sets already admitted, keyed on the exact set: two distinct sets
+/// that hash alike stay distinct.
+using TokenSetTable = dense_set<std::vector<uint32_t>, TokenSetHash>;
 
 /// One entity-/relation-based aggregation round over the frozen `combos`.
 ///
@@ -29,12 +36,12 @@ uint64_t TokenSetKey(const std::vector<uint32_t>& tokens);
 /// least `min_support` members, and the relation test is skipped;
 /// otherwise, when the token sets overlap by more than the same fraction,
 /// it proposes (tokens_i ∩ tokens_j, members_i ∪ members_j) if the token
-/// intersection is non-empty. A proposal is admitted when its TokenSetKey
-/// is not yet in `*seen`, and its key is inserted. Returns the admitted
+/// intersection is non-empty. A proposal is admitted when its token set is
+/// not yet in `*seen`, and the set is inserted. Returns the admitted
 /// combinations in scan order; the result is identical for every pool
 /// size including nullptr.
 std::vector<ComboCandidate> AggregateRound(
-    const std::vector<ComboCandidate>& combos, std::set<uint64_t>* seen,
+    const std::vector<ComboCandidate>& combos, TokenSetTable* seen,
     const CategoryFunctionOptions& options, ThreadPool* workers);
 
 }  // namespace internal

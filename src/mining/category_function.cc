@@ -1,7 +1,6 @@
 #include "mining/category_function.h"
 
 #include <algorithm>
-#include <set>
 
 #include "mining/category_aggregation.h"
 #include "mining/prefixspan.h"
@@ -15,7 +14,7 @@ namespace {
 
 using internal::AggregateRound;
 using internal::ComboCandidate;
-using internal::TokenSetKey;
+using internal::TokenSetTable;
 
 const std::vector<CategoryId> kNoCategories;
 
@@ -34,7 +33,7 @@ constexpr size_t kMaxCategories = 50000;
 CategoryFunction CategoryFunction::Build(
     const TemporalKnowledgeGraph& graph,
     const CategoryFunctionOptions& options, ThreadPool* workers,
-    const std::atomic<bool>* cancel) {
+    const std::atomic<bool>* cancel, CategoryMiningStats* stats) {
   CategoryFunction fn;
   fn.entity_categories_.resize(graph.num_entities());
   const auto cancelled = [cancel] {
@@ -61,7 +60,12 @@ CategoryFunction CategoryFunction::Build(
   PrefixSpan::Options ps;
   ps.min_support = options.min_support;
   ps.max_length = kMaxCombinationSize;
-  auto mined = PrefixSpan::Mine(transactions, ps);
+  bool cap_hit = false;
+  auto mined = PrefixSpan::Mine(transactions, ps, &cap_hit);
+  if (stats != nullptr) {
+    stats->num_mined_combinations = mined.size();
+    stats->combination_cap_hit = cap_hit;
+  }
 
   std::vector<ComboCandidate> combos;
   combos.reserve(mined.size());
@@ -72,20 +76,26 @@ CategoryFunction CategoryFunction::Build(
   // 3. Aggregation passes (paper §4.3.1). Only the widest-coverage
   // combinations seed aggregation: every round compares each pair of
   // combinations (by exact overlap counts, see AggregateRound), and each
-  // round's output joins the next round's input.
-  std::sort(combos.begin(), combos.end(),
-            [](const ComboCandidate& a, const ComboCandidate& b) {
-              if (a.members.size() != b.members.size()) {
-                return a.members.size() > b.members.size();
-              }
-              return a.tokens < b.tokens;
-            });
+  // round's output joins the next round's input. Mined token sets are
+  // distinct, so the order is strict and total: partitioning off the top
+  // seeds and sorting only those gives the full sort's prefix.
+  const auto by_coverage = [](const ComboCandidate& a,
+                              const ComboCandidate& b) {
+    if (a.members.size() != b.members.size()) {
+      return a.members.size() > b.members.size();
+    }
+    return a.tokens < b.tokens;
+  };
   if (combos.size() > kMaxAggregationCandidates) {
+    std::nth_element(combos.begin(),
+                     combos.begin() + kMaxAggregationCandidates, combos.end(),
+                     by_coverage);
     combos.resize(kMaxAggregationCandidates);
   }
+  std::sort(combos.begin(), combos.end(), by_coverage);
 
-  std::set<uint64_t> seen;
-  for (const auto& c : combos) seen.insert(TokenSetKey(c.tokens));
+  TokenSetTable seen;
+  for (const auto& c : combos) seen.insert(c.tokens);
   for (size_t round = 0;
        round < options.max_aggregation_rounds && !cancelled(); ++round) {
     std::vector<ComboCandidate> added =

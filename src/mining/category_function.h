@@ -38,6 +38,15 @@ struct CategoryFunctionOptions {
   }
 };
 
+/// \brief What the PrefixSpan stage of CategoryFunction::Build mined.
+struct CategoryMiningStats {
+  /// Frequent relation combinations PrefixSpan emitted.
+  size_t num_mined_combinations = 0;
+  /// True when PrefixSpan's pattern cap left at least one frequent
+  /// combination unmined.
+  bool combination_cap_hit = false;
+};
+
 /// \brief The category function C(·): entity -> set of implicit categories.
 ///
 /// Categories are frequent relation combinations (directed tokens) mined by
@@ -62,10 +71,13 @@ class CategoryFunction {
   /// `cancel` (optional) is polled between phases — an abandoned
   /// background rebuild sets it to stop burning CPU. Once it reads true
   /// the returned function is INCOMPLETE and must be discarded.
+  ///
+  /// `stats` (optional) receives the PrefixSpan counts.
   static CategoryFunction Build(const TemporalKnowledgeGraph& graph,
                                 const CategoryFunctionOptions& options,
                                 ThreadPool* workers = nullptr,
-                                const std::atomic<bool>* cancel = nullptr);
+                                const std::atomic<bool>* cancel = nullptr,
+                                CategoryMiningStats* stats = nullptr);
 
   /// Categories of entity e (ascending ids; empty for unseen entities).
   const std::vector<CategoryId>& Categories(EntityId e) const

@@ -36,10 +36,12 @@ class PrefixSpan {
 
   /// Mines all frequent itemsets from `transactions`. Each transaction
   /// must be sorted ascending with unique items (asserted in debug mode).
-  /// Output is in depth-first lexicographic order, deterministic.
+  /// Output is in depth-first lexicographic order, deterministic; each
+  /// pattern's owners are ascending. `cap_hit` (optional) is set to
+  /// whether `max_patterns` left at least one frequent itemset unemitted.
   static std::vector<FrequentItemset> Mine(
       const std::vector<std::vector<uint32_t>>& transactions,
-      const Options& options);
+      const Options& options, bool* cap_hit = nullptr);
 };
 
 }  // namespace anot

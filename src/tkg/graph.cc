@@ -37,9 +37,12 @@ Status TemporalKnowledgeGraph::ValidateFact(const Fact& fact) {
   return Status::OK();
 }
 
-FactId TemporalKnowledgeGraph::AddFact(const Fact& fact) {
-  ANOT_CHECK_OK(ValidateFact(fact));
+FactId TemporalKnowledgeGraph::AddFact(const Fact& added) {
+  ANOT_CHECK_OK(ValidateFact(added));
 
+  // A copy, since `added` may be one of facts_' own elements, which the
+  // push below can reallocate.
+  const Fact fact = added;
   const FactId id = static_cast<FactId>(facts_.size());
   facts_.push_back(fact);
 

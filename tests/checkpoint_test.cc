@@ -24,6 +24,7 @@
 #include "anomaly/injector.h"
 #include "core/anot.h"
 #include "datagen/generator.h"
+#include "datagen/presets.h"
 #include "io/checkpoint.h"
 #include "serving_test_util.h"
 #include "tkg/split.h"
@@ -307,12 +308,39 @@ TEST_F(CheckpointFixture, FreshBuildRoundTripsBeforeAnyArrival) {
   EXPECT_EQ(restored.num_generated_candidate_edges,
             saved.num_generated_candidate_edges);
   EXPECT_EQ(restored.num_candidate_edges, saved.num_candidate_edges);
+  // So do the PrefixSpan counters; this world mines below the cap.
+  EXPECT_GT(saved.num_mined_combinations, 0u);
+  EXPECT_FALSE(saved.combination_cap_hit);
+  EXPECT_EQ(restored.num_mined_combinations, saved.num_mined_combinations);
+  EXPECT_EQ(restored.combination_cap_hit, saved.combination_cap_hit);
   EXPECT_EQ(restored.total_bits(), saved.total_bits());
   const size_t n = std::min<size_t>(50, stream_->size());
   for (size_t i = 0; i < n; ++i) {
     ExpectScoresIdentical(system.Score((*stream_)[i]),
                           loaded.value().Score((*stream_)[i]), i);
   }
+}
+
+TEST(CheckpointCapTest, MiningCapCountersRoundTripWhereTheCapBinds) {
+  // The first 60% of the GDELT preset at its default bench scale: ~61
+  // entities with dense token sets, so PrefixSpan stops at its
+  // 200,000-pattern cap and the report says so across a restart.
+  auto graph = SyntheticGenerator(DatasetPresets::Gdelt(
+                                      DatasetPresets::DefaultBenchScale("gdelt")))
+                   .Generate();
+  auto train = Subgraph(*graph, SplitByTimestamps(*graph, 0.6, 0.1).train);
+  AnoT system = AnoT::Build(*train, CheckpointOptions(2));
+  const std::string path = TempPath("anot_ckpt_gdelt.bin");
+  ASSERT_TRUE(system.SaveCheckpoint(path).ok());
+  Result<AnoT> loaded = AnoT::LoadCheckpoint(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  const BuildReport& saved = system.report();
+  const BuildReport& restored = loaded.value().report();
+  EXPECT_EQ(saved.num_mined_combinations, 200000u);
+  EXPECT_TRUE(saved.combination_cap_hit);
+  EXPECT_EQ(restored.num_mined_combinations, saved.num_mined_combinations);
+  EXPECT_EQ(restored.combination_cap_hit, saved.combination_cap_hit);
 }
 
 // ------------------------------------------------------- refresh quiesce
@@ -498,6 +526,13 @@ const SectionCorruption kSectionCorruptions[] = {
        WriteU32At(b, edges + 8 + 1, static_cast<uint32_t>(num_rules + 7));
      },
      "unknown rule"},
+    {"report flag out of range", 5,
+     [](std::string* b, size_t payload, uint64_t) {
+       // combination_cap_hit: one byte after u64 num_categories and u64
+       // num_mined_combinations.
+       (*b)[payload + 16] = 2;
+     },
+     "out of range"},
     {"non-finite report value", 5,
      [](std::string* b, size_t payload, uint64_t len) {
        // negative_bits precedes the trailing u64 num_train_timestamps.

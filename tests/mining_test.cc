@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <set>
 
 #include "datagen/generator.h"
+#include "datagen/presets.h"
 #include "mining/category_aggregation.h"
 #include "mining/category_function.h"
 #include "mining/prefixspan.h"
+#include "tkg/split.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -96,6 +100,165 @@ TEST(PrefixSpanTest, ItemsAreAscendingInEveryPattern) {
   auto patterns = PrefixSpan::Mine(txns, opts);
   for (const auto& p : patterns) {
     EXPECT_TRUE(std::is_sorted(p.items.begin(), p.items.end()));
+  }
+}
+
+/// The std::map miner that the dense-bucket miner replaced, kept as the
+/// reference for output identity: the same emission order, the same
+/// owners and the same cut at max_patterns.
+struct LegacyProjection {
+  uint32_t transaction;
+  uint32_t offset;
+};
+
+void LegacyGrow(const std::vector<std::vector<uint32_t>>& transactions,
+                const PrefixSpan::Options& options,
+                const std::vector<LegacyProjection>& projections,
+                std::vector<uint32_t>* prefix,
+                std::vector<FrequentItemset>* out) {
+  if (out->size() >= options.max_patterns) return;
+  if (prefix->size() >= options.max_length) return;
+  std::map<uint32_t, std::vector<LegacyProjection>> extensions;
+  for (const LegacyProjection& p : projections) {
+    const auto& txn = transactions[p.transaction];
+    for (uint32_t i = p.offset; i < txn.size(); ++i) {
+      extensions[txn[i]].push_back(LegacyProjection{p.transaction, i + 1});
+    }
+  }
+  for (const auto& [item, next] : extensions) {
+    if (next.size() < options.min_support) continue;
+    if (out->size() >= options.max_patterns) return;
+    prefix->push_back(item);
+    FrequentItemset pattern;
+    pattern.items = *prefix;
+    for (const LegacyProjection& p : next) {
+      pattern.owners.push_back(p.transaction);
+    }
+    out->push_back(std::move(pattern));
+    LegacyGrow(transactions, options, next, prefix, out);
+    prefix->pop_back();
+  }
+}
+
+std::vector<FrequentItemset> LegacyMine(
+    const std::vector<std::vector<uint32_t>>& transactions,
+    const PrefixSpan::Options& options) {
+  std::vector<LegacyProjection> root;
+  for (uint32_t t = 0; t < transactions.size(); ++t) {
+    if (!transactions[t].empty()) root.push_back(LegacyProjection{t, 0});
+  }
+  std::vector<uint32_t> prefix;
+  std::vector<FrequentItemset> out;
+  LegacyGrow(transactions, options, root, &prefix, &out);
+  return out;
+}
+
+/// `count` seeded transactions, each a random set of `min_size` to
+/// `max_size` items drawn from [0, universe).
+std::vector<std::vector<uint32_t>> RandomTransactions(uint64_t seed,
+                                                      size_t count,
+                                                      size_t universe,
+                                                      size_t min_size,
+                                                      size_t max_size) {
+  Rng rng(seed);
+  std::vector<std::vector<uint32_t>> txns(count);
+  for (auto& txn : txns) {
+    const size_t size = min_size + rng.Uniform(max_size - min_size + 1);
+    for (size_t x : rng.SampleWithoutReplacement(universe, size)) {
+      txn.push_back(static_cast<uint32_t>(x));
+    }
+    std::sort(txn.begin(), txn.end());
+  }
+  return txns;
+}
+
+TEST(PrefixSpanTest, MatchesTheMapMinerItemOwnerAndOrderAtEveryCut) {
+  struct Shape {
+    // anot-own: points at a string literal in `shapes`.
+    const char* name;
+    size_t count, universe, min_size, max_size, min_support;
+  };
+  // Sparse: many short transactions over a wide item range (including
+  // empty ones). Dense: about 60 transactions each holding a large share
+  // of the items, like GDELT's entities.
+  const Shape shapes[] = {{"sparse", 300, 400, 0, 8, 2},
+                          {"dense", 61, 60, 10, 35, 4}};
+  for (const Shape& shape : shapes) {
+    for (uint64_t seed : {3u, 4u}) {
+      const auto txns =
+          RandomTransactions(seed, shape.count, shape.universe,
+                             shape.min_size, shape.max_size);
+      PrefixSpan::Options opts;
+      opts.min_support = shape.min_support;
+      opts.max_patterns = std::numeric_limits<size_t>::max();
+      const size_t total = LegacyMine(txns, opts).size();
+      ASSERT_GT(total, 100u) << shape.name;
+      for (size_t cut : {size_t{0}, size_t{1}, size_t{57}, total / 3,
+                         total - 1, total, total + 1,
+                         std::numeric_limits<size_t>::max()}) {
+        opts.max_patterns = cut;
+        const auto want = LegacyMine(txns, opts);
+        bool cap_hit = false;
+        const auto got = PrefixSpan::Mine(txns, opts, &cap_hit);
+        ASSERT_EQ(got.size(), want.size())
+            << shape.name << " seed " << seed << " cut " << cut;
+        for (size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[i].items, want[i].items)
+              << shape.name << " seed " << seed << " cut " << cut
+              << " pattern " << i;
+          ASSERT_EQ(got[i].owners, want[i].owners)
+              << shape.name << " seed " << seed << " cut " << cut
+              << " pattern " << i;
+        }
+        EXPECT_EQ(cap_hit, cut < total)
+            << shape.name << " seed " << seed << " cut " << cut;
+      }
+    }
+  }
+}
+
+TEST(PrefixSpanTest, CapHitFlagMatchesBruteForceEnumeration) {
+  // Brute force: every item set of up to max_length items from a small
+  // universe, counted against every transaction. The cap is hit exactly
+  // when more sets are frequent than max_patterns lets out.
+  constexpr size_t kUniverse = 12;
+  for (uint64_t seed : {5u, 6u, 7u}) {
+    const auto txns = RandomTransactions(seed, 40, kUniverse, 0, 7);
+    for (size_t max_length : {1u, 2u, 3u}) {
+      PrefixSpan::Options opts;
+      opts.min_support = 3;
+      opts.max_length = max_length;
+      std::set<std::vector<uint32_t>> frequent;
+      for (uint32_t mask = 1; mask < (1u << kUniverse); ++mask) {
+        std::vector<uint32_t> items;
+        for (uint32_t x = 0; x < kUniverse; ++x) {
+          if (mask & (1u << x)) items.push_back(x);
+        }
+        if (items.size() > max_length) continue;
+        size_t support = 0;
+        for (const auto& txn : txns) {
+          support += std::includes(txn.begin(), txn.end(), items.begin(),
+                                   items.end());
+        }
+        if (support >= opts.min_support) frequent.insert(items);
+      }
+      const size_t total = frequent.size();
+      ASSERT_GT(total, 10u) << "seed " << seed;
+      for (size_t cut : {size_t{0}, size_t{1}, size_t{2}, total / 2,
+                         total - 1, total, total + 1, 10 * total}) {
+        opts.max_patterns = cut;
+        bool cap_hit = !(cut < total);  // the opposite of the expectation
+        const auto got = PrefixSpan::Mine(txns, opts, &cap_hit);
+        EXPECT_EQ(cap_hit, cut < total)
+            << "seed " << seed << " max_length " << max_length << " cut "
+            << cut << " of " << total;
+        EXPECT_EQ(got.size(), std::min(cut, total))
+            << "seed " << seed << " max_length " << max_length;
+        for (const auto& p : got) {
+          EXPECT_TRUE(frequent.count(p.items) > 0) << "seed " << seed;
+        }
+      }
+    }
   }
 }
 
@@ -253,10 +416,9 @@ TEST_F(CategoryFixture, NewEntityGetsCategoriesViaUpdate) {
   EXPECT_FALSE(fn.Categories(fresh).empty());
 }
 
-TEST(CategoryFunctionTest, BuildIdenticalAcrossWorkerCounts) {
-  // The token pass and the aggregation rounds shard onto a worker pool;
-  // ordered merge replay must keep the built function bit-identical to
-  // the serial build (the same contract as candidate costing).
+/// A 300-entity synthetic world whose build runs several aggregation
+/// rounds with plenty of pairwise merges.
+std::unique_ptr<TemporalKnowledgeGraph> AggregationWorld() {
   GeneratorConfig cfg;
   cfg.num_entities = 300;
   cfg.num_relations = 24;
@@ -264,8 +426,14 @@ TEST(CategoryFunctionTest, BuildIdenticalAcrossWorkerCounts) {
   cfg.num_facts = 6000;
   cfg.num_categories = 6;
   cfg.seed = 91;
-  SyntheticGenerator gen(cfg);
-  auto graph = gen.Generate();
+  return SyntheticGenerator(cfg).Generate();
+}
+
+TEST(CategoryFunctionTest, BuildIdenticalAcrossWorkerCounts) {
+  // The token pass and the aggregation rounds shard onto a worker pool;
+  // ordered merge replay must keep the built function bit-identical to
+  // the serial build (the same contract as candidate costing).
+  auto graph = AggregationWorld();
 
   CategoryFunctionOptions opts;
   opts.min_support = 3;
@@ -291,11 +459,74 @@ TEST(CategoryFunctionTest, BuildIdenticalAcrossWorkerCounts) {
   }
 }
 
+/// FNV-1a fingerprint of a built category function: the category count,
+/// every combination and member list in category order, and C(e) of every
+/// entity.
+uint64_t CategoryFingerprint(const CategoryFunction& fn, size_t num_entities) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t word) {
+    h ^= word;
+    h *= 0x100000001b3ULL;
+  };
+  auto mix_all = [&mix](const std::vector<uint32_t>& ids) {
+    mix(ids.size());
+    for (uint32_t id : ids) mix(id);
+  };
+  mix(fn.num_categories());
+  for (CategoryId c = 0; c < fn.num_categories(); ++c) {
+    mix_all(fn.Combination(c));
+    mix_all(fn.Members(c));
+  }
+  for (EntityId e = 0; e < num_entities; ++e) mix_all(fn.Categories(e));
+  return h;
+}
+
+// Golden pins of the whole category function, taken from the std::map
+// PrefixSpan, full-sort seed selection and hashed token-set dedup that
+// the dense miner, the partial seed sort and the exact token-set table
+// replaced: those must change the build's cost, never its output.
+TEST(CategoryFunctionTest, MatchesGoldenFingerprintOnTheAggregationWorld) {
+  auto graph = AggregationWorld();
+  CategoryFunctionOptions opts;
+  opts.min_support = 3;
+  CategoryMiningStats stats;
+  auto fn = CategoryFunction::Build(*graph, opts, nullptr, nullptr, &stats);
+  EXPECT_EQ(stats.num_mined_combinations, 4339u);
+  EXPECT_FALSE(stats.combination_cap_hit);
+  EXPECT_EQ(fn.num_categories(), 33u);
+  EXPECT_EQ(CategoryFingerprint(fn, graph->num_entities()),
+            0xeaaef96988f875b8ULL);
+}
+
+TEST(CategoryFunctionTest, MatchesGoldenFingerprintOnGdeltWhereTheCapBinds) {
+  // The audit-gdelt benchmark's offline graph: the GDELT preset at its
+  // default bench scale, the first 60% of its timestamps, min_support 4.
+  // Its ~61 entities carry dense token sets, so PrefixSpan stops at its
+  // 200,000-pattern cap (205,971 are frequent) and only the
+  // lexicographically first patterns compete for the aggregation seeds.
+  auto graph = SyntheticGenerator(DatasetPresets::Gdelt(
+                                      DatasetPresets::DefaultBenchScale("gdelt")))
+                   .Generate();
+  const TimeSplit split = SplitByTimestamps(*graph, 0.6, 0.1);
+  auto train = Subgraph(*graph, split.train);
+  CategoryFunctionOptions opts;
+  opts.min_support = 4;
+  ThreadPool pool(2);
+  CategoryMiningStats stats;
+  auto fn = CategoryFunction::Build(*train, opts, &pool, nullptr, &stats);
+  EXPECT_EQ(stats.num_mined_combinations, 200000u);
+  EXPECT_TRUE(stats.combination_cap_hit);
+  EXPECT_EQ(fn.num_categories(), 20u);
+  EXPECT_EQ(CategoryFingerprint(fn, train->num_entities()),
+            0x6aa08ff4e97ed7e6ULL);
+}
+
 // ------------------------------------------------------- Aggregation round
 
 using internal::AggregateRound;
 using internal::ComboCandidate;
-using internal::TokenSetKey;
+using internal::TokenSetTable;
+using TokenSets = std::set<std::vector<uint32_t>>;
 
 std::vector<uint32_t> UnionOf(const std::vector<uint32_t>& a,
                               const std::vector<uint32_t>& b) {
@@ -314,9 +545,10 @@ std::vector<uint32_t> IntersectionOf(const std::vector<uint32_t>& a,
 }
 
 /// Brute-force reference: the serial pairwise scan that AggregateRound
-/// replaced, one merge per pair and the `seen` insertion inline.
+/// replaced, one merge per pair and the `seen` insertion inline, keyed on
+/// the exact token set.
 std::vector<ComboCandidate> PairwiseAggregateRound(
-    const std::vector<ComboCandidate>& combos, std::set<uint64_t>* seen,
+    const std::vector<ComboCandidate>& combos, TokenSets* seen,
     const CategoryFunctionOptions& options) {
   std::vector<ComboCandidate> added;
   const size_t n = combos.size();
@@ -336,7 +568,7 @@ std::vector<ComboCandidate> PairwiseAggregateRound(
         merged.members = IntersectionOf(ci.members, cj.members);
         if (!merged.members.empty() &&
             merged.members.size() >= options.min_support &&
-            seen->insert(TokenSetKey(merged.tokens)).second) {
+            seen->insert(merged.tokens).second) {
           added.push_back(std::move(merged));
         }
         continue;
@@ -352,7 +584,7 @@ std::vector<ComboCandidate> PairwiseAggregateRound(
         merged.tokens = IntersectionOf(ci.tokens, cj.tokens);
         if (merged.tokens.empty()) continue;
         merged.members = UnionOf(ci.members, cj.members);
-        if (seen->insert(TokenSetKey(merged.tokens)).second) {
+        if (seen->insert(merged.tokens).second) {
           added.push_back(std::move(merged));
         }
       }
@@ -432,18 +664,19 @@ TEST(AggregateRoundTest, MatchesPairwiseScan) {
   ThreadPool pool8(8);
   for (uint64_t seed : {1u, 2u}) {
     const std::vector<ComboCandidate> combos = RandomCombos(seed);
-    std::set<uint64_t> initial;
-    for (const auto& c : combos) initial.insert(TokenSetKey(c.tokens));
+    TokenSets initial;
+    for (const auto& c : combos) initial.insert(c.tokens);
     for (double t : {0.5, 0.9, 1.0, -0.1}) {
       for (size_t min_support : {1u, 3u}) {
         CategoryFunctionOptions opts;
         opts.aggregation_overlap = t;
         opts.min_support = min_support;
-        std::set<uint64_t> want_seen = initial;
+        TokenSets want_seen = initial;
         const auto want = PairwiseAggregateRound(combos, &want_seen, opts);
         for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr),
                                     &pool2, &pool8}) {
-          std::set<uint64_t> got_seen = initial;
+          TokenSetTable got_seen;
+          for (const auto& tokens : initial) got_seen.insert(tokens);
           const auto got = AggregateRound(combos, &got_seen, opts, workers);
           const size_t threads =
               workers == nullptr ? 0 : workers->num_threads();
@@ -451,7 +684,7 @@ TEST(AggregateRoundTest, MatchesPairwiseScan) {
               << "seed " << seed << " t " << t << " min_support "
               << min_support << " workers " << threads << ": "
               << want.size() << " vs " << got.size() << " proposals";
-          EXPECT_EQ(want_seen, got_seen)
+          EXPECT_EQ(want_seen, TokenSets(got_seen.begin(), got_seen.end()))
               << "seed " << seed << " t " << t << " workers " << threads;
         }
       }
@@ -469,13 +702,37 @@ TEST(AggregateRoundTest, OverlapAtThresholdDoesNotQualify) {
   };
   CategoryFunctionOptions opts;
   opts.aggregation_overlap = 0.9;
-  std::set<uint64_t> seen;
+  TokenSetTable seen;
   EXPECT_TRUE(AggregateRound(combos, &seen, opts, nullptr).empty());
   opts.aggregation_overlap = 0.85;
   const auto merged = AggregateRound(combos, &seen, opts, nullptr);
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(merged[0].tokens, (std::vector<uint32_t>{1, 2}));
   EXPECT_EQ(merged[0].members.size(), 9u);
+}
+
+TEST(AggregateRoundTest, DistinctTokenSetsThatHashAlikeAreBothAdmitted) {
+  // Two 3-token sets with equal TokenSetHash values. Each is proposed by
+  // one pair of combinations with equal member sets (the member path),
+  // and the two pairs share neither members nor tokens. Dedup on the
+  // hash would drop the second proposal.
+  const std::vector<uint32_t> a{761, 1078, 32768};
+  const std::vector<uint32_t> b{757, 854, 60252};
+  ASSERT_EQ(internal::TokenSetHash{}(a), internal::TokenSetHash{}(b));
+  const std::vector<ComboCandidate> combos{
+      {{a[0]}, {0, 1, 2}},
+      {{a[1], a[2]}, {0, 1, 2}},
+      {{b[0]}, {3, 4, 5}},
+      {{b[1], b[2]}, {3, 4, 5}},
+  };
+  CategoryFunctionOptions opts;
+  opts.min_support = 3;
+  TokenSetTable seen;
+  const auto added = AggregateRound(combos, &seen, opts, nullptr);
+  ASSERT_EQ(added.size(), 2u);
+  EXPECT_EQ(added[0].tokens, a);
+  EXPECT_EQ(added[1].tokens, b);
+  EXPECT_EQ(seen.size(), 2u);
 }
 
 TEST(CategoryFunctionTest, RecoversPlantedCategoriesOnSyntheticData) {

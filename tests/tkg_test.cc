@@ -360,6 +360,30 @@ TEST(GraphTest, CopyMatchesReplayAndIsIndependent) {
   copy.CheckInvariants();
 }
 
+TEST(GraphTest, ReaddingAFactThroughItsOwnReferenceSurvivesReallocation) {
+  // g.AddFact(g.fact(id)) hands AddFact a reference into the fact log that
+  // its own push may reallocate. Growing a graph from 3 facts to 1,024
+  // that way crosses about nine reallocations; it must equal a graph fed
+  // the same facts by value (AddressSanitizer flags any read of the moved
+  // log).
+  Rng rng(11);
+  TemporalKnowledgeGraph g;
+  TemporalKnowledgeGraph want;
+  for (TemporalKnowledgeGraph* graph : {&g, &want}) {
+    graph->AddFact("a", "r0", "b", 5);
+    graph->AddFact("c", "r1", "d", -3, 8);
+    graph->AddFact("b", "r2", "e", 40);
+  }
+  while (g.num_facts() < 1024) {
+    const FactId id = static_cast<FactId>(rng.Uniform(g.num_facts()));
+    const Fact copy = g.fact(id);
+    EXPECT_EQ(g.fact(g.AddFact(g.fact(id))), copy);
+    want.AddFact(copy);
+  }
+  ExpectSameGraph(g, want);
+  g.CheckInvariants();
+}
+
 // ---------------------------------------------------------------- Loader
 
 TEST(LoaderTest, ParseTimeIntegerAndIsoDate) {
