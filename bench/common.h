@@ -103,8 +103,7 @@ inline void PrintHeader(const char* what) {
 /// parallel, each cell builds and serves with one inner thread — the
 /// cells are the parallelism, and N sweep workers each spawning N build
 /// workers would oversubscribe the machine. Harmless to results either
-/// way: builds and batched scoring are bit-identical for every thread
-/// count.
+/// way: builds are bit-identical for every thread count.
 inline AnoTOptions SweepCellAnoTOptions(const std::string& dataset) {
   AnoTOptions options = DefaultAnoTOptions(dataset);
   if (ResolveNumThreads(EnvThreads()) > 1) options.num_threads = 1;

@@ -10,14 +10,10 @@ using namespace anot::bench;
 
 namespace {
 
-/// Stream scoring micro-batch cap (same knob RunProtocol defaults to);
-/// the series is bit-identical to the per-fact loop for every value.
-constexpr size_t kScoreBatch = 64;
-
 /// Scores the test stream bucketed into `buckets` timestamp groups and
 /// returns the per-bucket conceptual F0.5 (threshold tuned on validation).
-/// Both windows flow through the protocol's batched scoring path, with
-/// the observe-valid feedback as the batch boundary.
+/// Both windows flow through the protocol's per-fact stream loop: each
+/// arrival is scored, then fed back via ObserveValid when valid.
 std::vector<double> FScoreSeries(const Workload& w, bool with_updater,
                                  size_t buckets) {
   AnoTOptions options = DefaultAnoTOptions(w.config.name);
@@ -30,7 +26,7 @@ std::vector<double> FScoreSeries(const Workload& w, bool with_updater,
   EvalStream val = val_inj.Inject(*w.graph, w.split.val);
   std::vector<ScoredExample> val_examples;
   ForEachScoredArrival(
-      val.arrivals, &model, /*observe_valid=*/true, kScoreBatch,
+      val.arrivals, &model, /*observe_valid=*/true,
       [&](size_t i, const AnomalyModel::TaskScores& s) {
         val_examples.push_back(
             {s.conceptual, val.arrivals[i].label == AnomalyType::kConceptual});
@@ -46,7 +42,7 @@ std::vector<double> FScoreSeries(const Workload& w, bool with_updater,
                                 static_cast<double>(buckets));
   std::vector<std::vector<ScoredExample>> bucketed(buckets);
   ForEachScoredArrival(
-      test.arrivals, &model, /*observe_valid=*/true, kScoreBatch,
+      test.arrivals, &model, /*observe_valid=*/true,
       [&](size_t i, const AnomalyModel::TaskScores& s) {
         const LabeledFact& lf = test.arrivals[i];
         const size_t b = std::min<size_t>(

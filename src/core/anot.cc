@@ -64,23 +64,18 @@ AnoT AnoT::Build(const TemporalKnowledgeGraph& offline,
 
 AnoT::BuiltStructures AnoT::BuildStructures(
     const TemporalKnowledgeGraph& graph, const AnoTOptions& options,
-    ThreadPool* workers, const std::atomic<bool>* cancel) {
+    const std::atomic<bool>* cancel) {
   BuiltStructures out;
   CategoryMiningStats mining;
   {
-    // The category build shards on the caller's pool when given one;
-    // otherwise on a scoped transient pool, so pool creation stays lazy
-    // for offline-only users. Results are bit-identical for every count.
-    std::unique_ptr<ThreadPool> transient;
-    if (workers == nullptr) {
-      const size_t threads = ResolveNumThreads(options.num_threads);
-      if (threads > 1) {
-        transient = std::make_unique<ThreadPool>(threads);
-        workers = transient.get();
-      }
-    }
+    // The category build shards on a scoped pool, created only when the
+    // thread count resolves above 1. Results are bit-identical for every
+    // count.
+    std::unique_ptr<ThreadPool> workers;
+    const size_t threads = ResolveNumThreads(options.num_threads);
+    if (threads > 1) workers = std::make_unique<ThreadPool>(threads);
     out.categories = std::make_unique<CategoryFunction>(CategoryFunction::Build(
-        graph, options.detector.category, workers, cancel, &mining));
+        graph, options.detector.category, workers.get(), cancel, &mining));
   }
   if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
     return out;  // incomplete: caller discards
@@ -96,12 +91,8 @@ AnoT::BuiltStructures AnoT::BuildStructures(
 }
 
 void AnoT::Rebuild() {
-  // Reuse the serving pool when batched serving already created one (it
-  // sits idle during an inline rebuild, and reusing it spares the serving
-  // thread a spawn/join cycle per Refresh).
-  BuiltStructures built =
-      BuildStructures(*graph_, *options_, serving_pool_.get(),
-                      /*cancel=*/nullptr);
+  BuiltStructures built = BuildStructures(*graph_, *options_,
+                                         /*cancel=*/nullptr);
   categories_ = std::move(built.categories);
   rules_ = std::move(built.rules);
   report_ = built.report;
@@ -215,7 +206,7 @@ void AnoT::RefreshAsync() {
   const AnoTOptions options = *options_;
   state->worker = std::thread([state, options] {
     BuiltStructures built =
-        BuildStructures(*state->snapshot, options, nullptr, &state->cancel);
+        BuildStructures(*state->snapshot, options, &state->cancel);
     if (!state->cancel.load(std::memory_order_relaxed)) {
       state->built = std::move(built);
     }

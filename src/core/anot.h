@@ -219,13 +219,11 @@ class AnoT {
 
   /// Runs the CategoryFunction + RuleGraphBuilder pipeline on `graph`.
   /// Pure with respect to the AnoT instance, so it can run on a
-  /// background thread against a snapshot. When `workers` is null and the
-  /// resolved thread count exceeds 1, a transient pool is created for the
-  /// category passes. `cancel` aborts between stages (result must then be
-  /// discarded).
+  /// background thread against a snapshot. When the resolved thread count
+  /// exceeds 1, a scoped pool is created for the category passes. `cancel`
+  /// aborts between stages (result must then be discarded).
   static BuiltStructures BuildStructures(const TemporalKnowledgeGraph& graph,
                                          const AnoTOptions& options,
-                                         ThreadPool* workers,
                                          const std::atomic<bool>* cancel);
 
   void Rebuild();

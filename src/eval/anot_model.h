@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "core/anot.h"
 #include "core/duration.h"
@@ -31,18 +30,6 @@ class AnoTModel : public AnomalyModel {
     const Scores s = system_->Score(fact);
     return TaskScores{s.static_score, s.temporal_score,
                       s.missing_support()};
-  }
-
-  std::vector<TaskScores> ScoreBatch(
-      const std::vector<Fact>& facts) override {
-    const std::vector<Scores> scores = system_->ScoreBatch(facts);
-    std::vector<TaskScores> out;
-    out.reserve(scores.size());
-    for (const Scores& s : scores) {
-      out.push_back(TaskScores{s.static_score, s.temporal_score,
-                               s.missing_support()});
-    }
-    return out;
   }
 
   void ObserveValid(const Fact& fact) override {

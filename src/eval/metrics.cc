@@ -92,4 +92,11 @@ ThresholdMetrics TuneThreshold(std::vector<ScoredExample> examples,
   return best;
 }
 
+double NearestRankPercentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  const double rank = std::ceil(p * static_cast<double>(sorted.size()));
+  const size_t index = rank < 1.0 ? 0 : static_cast<size_t>(rank) - 1;
+  return sorted[std::min(index, sorted.size() - 1)];
+}
+
 }  // namespace anot

@@ -34,4 +34,9 @@ ThresholdMetrics MetricsAtThreshold(const std::vector<ScoredExample>& examples,
 ThresholdMetrics TuneThreshold(std::vector<ScoredExample> examples,
                                double beta);
 
+/// Nearest-rank percentile of an ascending-sorted sample: the
+/// ceil(p * n)-th smallest value (1-based, clamped to [1, n]), p in [0, 1].
+/// Returns 0 for an empty sample.
+double NearestRankPercentile(const std::vector<double>& sorted, double p);
+
 }  // namespace anot

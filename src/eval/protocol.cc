@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
 #include "util/timer.h"
 
 namespace anot {
@@ -17,13 +16,13 @@ struct TaskExamples {
 };
 
 TaskExamples ScoreStream(const EvalStream& stream, AnomalyModel* model,
-                         bool observe_valid, size_t batch_size,
+                         bool observe_valid,
                          std::vector<double>* latencies_us = nullptr) {
   TaskExamples out;
   out.conceptual.reserve(stream.arrivals.size());
   out.time.reserve(stream.arrivals.size());
   ForEachScoredArrival(
-      stream.arrivals, model, observe_valid, batch_size,
+      stream.arrivals, model, observe_valid,
       [&](size_t i, const AnomalyModel::TaskScores& s) {
         const LabeledFact& lf = stream.arrivals[i];
         // Conceptual task: conceptual anomalies vs everything arriving.
@@ -33,28 +32,18 @@ TaskExamples ScoreStream(const EvalStream& stream, AnomalyModel* model,
         out.time.push_back({s.time, lf.label == AnomalyType::kTime});
       },
       latencies_us);
-  // Missing candidates never feed back into the model: with observe_valid
-  // off the same helper degenerates to plain fixed-size chunks. Their
-  // score-only cost is excluded from the per-arrival latency samples —
-  // mixing them in would dilute the arrival tail the stats exist to
-  // expose.
+  // Missing candidates never feed back into the model. Their score-only
+  // cost is excluded from the per-arrival latency samples — mixing them in
+  // would dilute the arrival tail the stats exist to expose.
   out.missing.reserve(stream.missing_candidates.size());
   ForEachScoredArrival(
-      stream.missing_candidates, model, /*observe_valid=*/false, batch_size,
+      stream.missing_candidates, model, /*observe_valid=*/false,
       [&](size_t i, const AnomalyModel::TaskScores& s) {
         out.missing.push_back(
             {s.missing,
              stream.missing_candidates[i].label == AnomalyType::kMissing});
       });
   return out;
-}
-
-/// Nearest-rank percentile (p in [0, 1]) of an already-sorted sample.
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const double rank = p * static_cast<double>(sorted.size() - 1);
-  const size_t idx = static_cast<size_t>(rank + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 TaskResult Evaluate(const std::vector<ScoredExample>& val,
@@ -73,55 +62,24 @@ TaskResult Evaluate(const std::vector<ScoredExample>& val,
 
 void ForEachScoredArrival(
     const std::vector<LabeledFact>& arrivals, AnomalyModel* model,
-    bool observe_valid, size_t batch_size,
+    bool observe_valid,
     const std::function<void(size_t, const AnomalyModel::TaskScores&)>&
         visit,
     std::vector<double>* latencies_us) {
-  const size_t cap = std::max<size_t>(1, batch_size);
-  std::vector<Fact> batch;
-  batch.reserve(cap);
-  size_t i = 0;
-  while (i < arrivals.size()) {
-    // Collect up to `cap` facts, cutting the batch at the first fact the
-    // protocol will feed back: the next score must see the ingested fact,
-    // so the ingest is the batch boundary.
-    batch.clear();
-    const size_t begin = i;
-    bool ends_with_ingest = false;
-    while (i < arrivals.size() && batch.size() < cap) {
-      const LabeledFact& lf = arrivals[i];
-      batch.push_back(lf.fact);
-      ++i;
-      if (observe_valid && lf.label == AnomalyType::kValid) {
-        ends_with_ingest = true;
-        break;
-      }
-    }
-    WallTimer score_timer;
-    const std::vector<AnomalyModel::TaskScores> scores =
-        model->ScoreBatch(batch);
-    const double score_us = score_timer.ElapsedSeconds() * 1e6;
-    ANOT_CHECK(scores.size() == batch.size());
-    for (size_t k = 0; k < batch.size(); ++k) visit(begin + k, scores[k]);
-    if (latencies_us != nullptr) {
-      // Attribute the batch's scoring wall-clock evenly across its facts.
-      const double per_fact_us =
-          score_us / static_cast<double>(batch.size());
-      for (size_t k = 0; k < batch.size(); ++k) {
-        latencies_us->push_back(per_fact_us);
-      }
-    }
-    // The boundary fact was scored against the pre-ingest state (exactly
-    // as in the sequential loop, where Score precedes ObserveValid).
-    if (ends_with_ingest) {
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    const LabeledFact& lf = arrivals[i];
+    WallTimer timer;
+    const AnomalyModel::TaskScores scores = model->Score(lf.fact);
+    double elapsed_s = timer.ElapsedSeconds();
+    visit(i, scores);
+    // The arrival was scored against the pre-ingest state; the next one
+    // must see it ingested.
+    if (observe_valid && lf.label == AnomalyType::kValid) {
       WallTimer ingest_timer;
-      model->ObserveValid(arrivals[i - 1].fact);
-      if (latencies_us != nullptr) {
-        // The ingest — and any refresh stall behind it — is latency the
-        // boundary arrival paid.
-        latencies_us->back() += ingest_timer.ElapsedSeconds() * 1e6;
-      }
+      model->ObserveValid(lf.fact);
+      elapsed_s += ingest_timer.ElapsedSeconds();
     }
+    if (latencies_us != nullptr) latencies_us->push_back(elapsed_s * 1e6);
   }
 }
 
@@ -130,7 +88,6 @@ EvalResult RunProtocol(const TemporalKnowledgeGraph& full,
                        const ProtocolOptions& options) {
   EvalResult result;
   result.model = model->name();
-  result.score_batch_size = std::max<size_t>(1, options.score_batch_size);
 
   // Offline phase.
   auto train = Subgraph(full, split.train);
@@ -143,8 +100,8 @@ EvalResult RunProtocol(const TemporalKnowledgeGraph& full,
   val_injector.seed = options.injector.seed * 2654435761u + 1;
   AnomalyInjector val_inj(val_injector);
   EvalStream val_stream = val_inj.Inject(full, split.val);
-  TaskExamples val_examples = ScoreStream(
-      val_stream, model, options.observe_valid, result.score_batch_size);
+  TaskExamples val_examples =
+      ScoreStream(val_stream, model, options.observe_valid);
 
   // Test window. Throughput is wall-clock over the *whole* window —
   // scoring plus observe-valid ingest — not just the scoring calls: an
@@ -153,9 +110,8 @@ EvalResult RunProtocol(const TemporalKnowledgeGraph& full,
   EvalStream test_stream = test_inj.Inject(full, split.test);
   WallTimer test_timer;
   std::vector<double> latencies_us;
-  TaskExamples test_examples =
-      ScoreStream(test_stream, model, options.observe_valid,
-                  result.score_batch_size, &latencies_us);
+  TaskExamples test_examples = ScoreStream(
+      test_stream, model, options.observe_valid, &latencies_us);
   result.test_seconds = test_timer.ElapsedSeconds();
   const size_t scored =
       test_stream.arrivals.size() + test_stream.missing_candidates.size();
@@ -164,8 +120,8 @@ EvalResult RunProtocol(const TemporalKnowledgeGraph& full,
                           : 0.0;
   if (!latencies_us.empty()) {
     std::sort(latencies_us.begin(), latencies_us.end());
-    result.latency_p50_us = Percentile(latencies_us, 0.50);
-    result.latency_p99_us = Percentile(latencies_us, 0.99);
+    result.latency_p50_us = NearestRankPercentile(latencies_us, 0.50);
+    result.latency_p99_us = NearestRankPercentile(latencies_us, 0.99);
     result.latency_max_us = latencies_us.back();
   }
 

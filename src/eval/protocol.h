@@ -34,14 +34,12 @@ struct EvalResult {
   /// Test-stream throughput, samples/second (Figures 7-8), measured over
   /// `test_seconds`.
   double throughput = 0.0;
-  /// Micro-batch cap the stream was scored with (1 = sequential).
-  size_t score_batch_size = 1;
-  /// Per-arrival latency over the test window, microseconds. Scoring cost
-  /// is attributed as batch wall-clock / batch size; an ObserveValid
-  /// ingest (and any refresh stall it triggers) is charged to the
-  /// boundary arrival that paid it, so p99/max expose serving stalls that
-  /// throughput averages away — the number the async refresh mode exists
-  /// to flatten.
+  /// Per-arrival latency over the test window, microseconds: the
+  /// arrival's own Score call plus, for a valid arrival, its own
+  /// ObserveValid ingest (and any refresh stall that ingest triggers), so
+  /// p99/max expose serving stalls that throughput averages away — the
+  /// number the async refresh mode exists to flatten. Nearest-rank
+  /// percentiles.
   double latency_p50_us = 0.0;
   double latency_p99_us = 0.0;
   double latency_max_us = 0.0;
@@ -59,25 +57,19 @@ struct ProtocolOptions {
   /// (AnoT's updater; frequency/recency baselines). The paper's rule-graph
   /// refresh stays disabled during evaluation for fairness.
   bool observe_valid = true;
-  /// Micro-batch cap for stream scoring. Arrivals flow through
-  /// AnomalyModel::ScoreBatch in windows that *end at each fact fed back
-  /// via ObserveValid* — the batch boundary is the updater ingest — so
-  /// every fact is scored against exactly the model state the sequential
-  /// loop would present and all metrics are bit-identical for every value.
-  /// 1 = sequential scoring.
-  size_t score_batch_size = 64;
 };
 
-/// Scores `arrivals` through model->ScoreBatch in micro-batches that end
-/// at each fact fed back via ObserveValid (when `observe_valid`), calling
-/// `visit(index, scores)` for every arrival in order. The building block
-/// of RunProtocol's stream scoring, exposed for harnesses that bucket or
-/// aggregate scores themselves (e.g. the Figure 6 updater experiment).
-/// When `latencies_us` is non-null, one per-arrival latency sample (see
-/// EvalResult) is appended per arrival, in order.
+/// The paper's online loop over `arrivals`, one fact at a time: Score the
+/// fact, call `visit(index, scores)`, then — for a valid arrival when
+/// `observe_valid` — feed it back via ObserveValid before the next fact is
+/// scored (Alg. 2 then Alg. 3). The building block of RunProtocol's
+/// stream scoring, exposed for harnesses that bucket or aggregate scores
+/// themselves (e.g. the Figure 6 updater experiment). When `latencies_us`
+/// is non-null, one per-arrival latency sample (see EvalResult) is
+/// appended per arrival, in order.
 void ForEachScoredArrival(
     const std::vector<LabeledFact>& arrivals, AnomalyModel* model,
-    bool observe_valid, size_t batch_size,
+    bool observe_valid,
     const std::function<void(size_t, const AnomalyModel::TaskScores&)>&
         visit,
     std::vector<double>* latencies_us = nullptr);

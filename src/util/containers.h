@@ -32,10 +32,10 @@
 ///    deterministic function of the operation sequence alone (erase
 ///    swap-removes, so post-erase order is still determined by the
 ///    mutation history, never by hash seeds or library versions).
-///  * string_map / string_set — dense tables over std::string keys with a
-///    transparent string_view hasher: probes take a string_view and never
-///    materialize a temporary std::string (a Key is constructed only on
-///    actual insertion).
+///  * string_map — a dense table over std::string keys with a transparent
+///    string_view hasher: probes take a string_view and never materialize
+///    a temporary std::string (a Key is constructed only on actual
+///    insertion).
 ///  * small_vec<T, N> — a vector with N elements of inline storage, for
 ///    adjacency / witness lists that are almost always tiny.
 ///
@@ -460,9 +460,6 @@ class dense_set {
 template <class T>
 using string_map =
     dense_map<std::string, T, TransparentStringHash, std::equal_to<>>;
-
-using string_set =
-    dense_set<std::string, TransparentStringHash, std::equal_to<>>;
 
 /// \brief Vector with N elements of inline storage; spills to the heap
 /// beyond that. Covers the std::vector API surface the adjacency and

@@ -159,14 +159,6 @@ TEST(StringMapTest, TransparentStringViewProbes) {
   EXPECT_EQ(m.size(), 3u);
 }
 
-TEST(StringSetTest, HeterogeneousInsertAndLookup) {
-  string_set s;
-  EXPECT_TRUE(s.insert(std::string_view("x")).second);
-  EXPECT_FALSE(s.insert("x").second);
-  EXPECT_TRUE(s.contains(std::string_view("x")));
-  EXPECT_FALSE(s.contains("y"));
-}
-
 // -------------------------------------------------------------- small_vec
 
 TEST(SmallVecTest, StaysInlineUpToN) {

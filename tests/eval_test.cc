@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "anomaly/injector.h"
 #include "datagen/generator.h"
 #include "eval/anot_model.h"
 #include "eval/metrics.h"
@@ -86,6 +87,21 @@ TEST(ThresholdTest, EmptyAndDegenerateInputs) {
   EXPECT_DOUBLE_EQ(TuneThreshold({{0.5, false}}, 0.5).f_beta, 0.0);
 }
 
+// ------------------------------------------------------------- percentile
+
+TEST(PercentileTest, NearestRank) {
+  EXPECT_EQ(NearestRankPercentile({}, 0.5), 0.0);
+  EXPECT_EQ(NearestRankPercentile({7.0}, 0.0), 7.0);
+  EXPECT_EQ(NearestRankPercentile({7.0}, 0.5), 7.0);
+  EXPECT_EQ(NearestRankPercentile({7.0}, 1.0), 7.0);
+  const std::vector<double> ten{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  // ceil(p * n)-th smallest: the 5th of ten for the median, the 10th for
+  // p99, the 1st for p0.
+  EXPECT_EQ(NearestRankPercentile(ten, 0.5), 5.0);
+  EXPECT_EQ(NearestRankPercentile(ten, 0.99), 10.0);
+  EXPECT_EQ(NearestRankPercentile(ten, 0.0), 1.0);
+}
+
 // --------------------------------------------------------------- Reporter
 
 TEST(ReporterTest, RenderTableAligns) {
@@ -106,11 +122,11 @@ TEST(ReporterTest, ComparisonGroupsByDataset) {
   EXPECT_NE(out.find("0.950"), std::string::npos);
 }
 
-// ------------------------------------------- micro-batching invariance
+// ---------------------------------------------------- per-fact stream loop
 
 /// Records the model-visible call sequence — Score and ObserveValid, in
-/// order — plus every ScoreBatch window size. Scores are a deterministic
-/// function of the fact, so threshold tuning has something to rank.
+/// order. Scores are a deterministic function of the fact, so threshold
+/// tuning has something to rank.
 class ProbeModel : public AnomalyModel {
  public:
   std::string name() const override { return "probe"; }
@@ -126,12 +142,6 @@ class ProbeModel : public AnomalyModel {
     return TaskScores{x, 1.0 - x, x};
   }
 
-  std::vector<TaskScores> ScoreBatch(
-      const std::vector<Fact>& facts) override {
-    batch_sizes.push_back(facts.size());
-    return AnomalyModel::ScoreBatch(facts);
-  }
-
   void ObserveValid(const Fact& fact) override {
     sequence.push_back("V:" + Key(fact));
   }
@@ -142,7 +152,6 @@ class ProbeModel : public AnomalyModel {
   }
 
   std::vector<std::string> sequence;
-  std::vector<size_t> batch_sizes;
 };
 
 GeneratorConfig SmallProtocolWorld() {
@@ -157,73 +166,91 @@ GeneratorConfig SmallProtocolWorld() {
   return cfg;
 }
 
-TEST(ProtocolTest, ObserveValidOrderingPreservedAcrossBatchBoundaries) {
-  SyntheticGenerator gen(SmallProtocolWorld());
-  auto graph = gen.Generate();
-  TimeSplit split = SplitByTimestamps(*graph, 0.6, 0.1);
-
-  auto run = [&](size_t batch_size) {
-    ProbeModel model;
-    ProtocolOptions popts;
-    popts.score_batch_size = batch_size;
-    RunProtocol(*graph, split, &model, popts);
-    return model;
-  };
-  const ProbeModel sequential = run(1);
-  const ProbeModel batched = run(64);
-
-  // The model-visible call sequence — every Score, every ObserveValid, in
-  // order — is invariant: the batch boundary sits exactly at each ingest.
-  ASSERT_FALSE(sequential.sequence.empty());
-  EXPECT_EQ(sequential.sequence, batched.sequence);
-  // And batching genuinely engaged: multi-fact windows within the cap.
-  size_t max_batch = 0;
-  for (size_t b : batched.batch_sizes) max_batch = std::max(max_batch, b);
-  EXPECT_GT(max_batch, 1u);
-  EXPECT_LE(max_batch, 64u);
-  for (size_t b : sequential.batch_sizes) EXPECT_EQ(b, 1u);
+/// Appends the call sequence one protocol window must present: every
+/// arrival scored once, in order, each valid arrival fed back right after
+/// its own Score; then every missing candidate scored, never fed back.
+void AppendExpectedWindow(const EvalStream& stream,
+                          std::vector<std::string>* out) {
+  for (const LabeledFact& lf : stream.arrivals) {
+    out->push_back("S:" + ProbeModel::Key(lf.fact));
+    if (lf.label == AnomalyType::kValid) {
+      out->push_back("V:" + ProbeModel::Key(lf.fact));
+    }
+  }
+  for (const LabeledFact& lf : stream.missing_candidates) {
+    out->push_back("S:" + ProbeModel::Key(lf.fact));
+  }
 }
 
-TEST(ProtocolTest, MetricsIdenticalWithMicroBatchingOnAndOff) {
+TEST(ProtocolTest, ScoresEachArrivalOnceThenIngestsEachValidOne) {
   SyntheticGenerator gen(SmallProtocolWorld());
   auto graph = gen.Generate();
   TimeSplit split = SplitByTimestamps(*graph, 0.6, 0.1);
 
-  AnoTOptions options;
-  options.detector.category.min_support = 4;
-  options.detector.timespan_tolerance = 5;
+  ProbeModel model;
+  ProtocolOptions popts;
+  RunProtocol(*graph, split, &model, popts);
 
-  auto run = [&](size_t batch_size, size_t threads) {
-    AnoTOptions o = options;
-    o.num_threads = threads;
-    AnoTModel model(o);
-    ProtocolOptions popts;
-    popts.score_batch_size = batch_size;
-    return RunProtocol(*graph, split, &model, popts);
+  // Rebuild both windows' streams: RunProtocol seeds the validation
+  // injector from the test seed as below.
+  InjectorConfig val_config = popts.injector;
+  val_config.seed = popts.injector.seed * 2654435761u + 1;
+  const EvalStream val = AnomalyInjector(val_config).Inject(*graph, split.val);
+  const EvalStream test =
+      AnomalyInjector(popts.injector).Inject(*graph, split.test);
+  std::vector<std::string> expected;
+  AppendExpectedWindow(val, &expected);
+  AppendExpectedWindow(test, &expected);
+
+  // Both kinds of step occur, and missing candidates include facts
+  // labeled valid — which must still get no ObserveValid.
+  size_t ingests = 0;
+  for (const std::string& step : expected) ingests += step[0] == 'V';
+  EXPECT_GT(ingests, 0u);
+  EXPECT_LT(ingests, expected.size());
+  bool valid_candidate = false;
+  for (const LabeledFact& lf : test.missing_candidates) {
+    valid_candidate |= lf.label == AnomalyType::kValid;
+  }
+  EXPECT_TRUE(valid_candidate);
+  EXPECT_EQ(model.sequence, expected);
+}
+
+TEST(ProtocolTest, MetricsIdenticalAcrossAnoTThreadCounts) {
+  SyntheticGenerator gen(SmallProtocolWorld());
+  auto graph = gen.Generate();
+  TimeSplit split = SplitByTimestamps(*graph, 0.6, 0.1);
+
+  auto run = [&](size_t threads) {
+    AnoTOptions options;
+    options.detector.category.min_support = 4;
+    options.detector.timespan_tolerance = 5;
+    options.num_threads = threads;
+    AnoTModel model(options);
+    return RunProtocol(*graph, split, &model, ProtocolOptions{});
   };
-  const EvalResult off = run(1, 1);
-  EXPECT_EQ(off.score_batch_size, 1u);
+  const EvalResult serial = run(1);
+  const EvalResult parallel = run(4);
 
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    const EvalResult on = run(64, threads);
-    EXPECT_EQ(on.score_batch_size, 64u);
-    // Bitwise equality: micro-batching must not change a single metric.
-    EXPECT_EQ(off.conceptual.pr_auc, on.conceptual.pr_auc) << threads;
-    EXPECT_EQ(off.conceptual.precision, on.conceptual.precision) << threads;
-    EXPECT_EQ(off.conceptual.f_beta, on.conceptual.f_beta) << threads;
-    EXPECT_EQ(off.time.pr_auc, on.time.pr_auc) << threads;
-    EXPECT_EQ(off.time.precision, on.time.precision) << threads;
-    EXPECT_EQ(off.time.f_beta, on.time.f_beta) << threads;
-    EXPECT_EQ(off.missing.pr_auc, on.missing.pr_auc) << threads;
-    EXPECT_EQ(off.missing.precision, on.missing.precision) << threads;
-    EXPECT_EQ(off.missing.f_beta, on.missing.f_beta) << threads;
-    EXPECT_GT(on.throughput, 0.0);
-    EXPECT_GT(on.test_seconds, 0.0);
+  // Bitwise equality: the build's thread count must not change a single
+  // metric.
+  EXPECT_EQ(serial.conceptual.pr_auc, parallel.conceptual.pr_auc);
+  EXPECT_EQ(serial.conceptual.precision, parallel.conceptual.precision);
+  EXPECT_EQ(serial.conceptual.f_beta, parallel.conceptual.f_beta);
+  EXPECT_EQ(serial.time.pr_auc, parallel.time.pr_auc);
+  EXPECT_EQ(serial.time.precision, parallel.time.precision);
+  EXPECT_EQ(serial.time.f_beta, parallel.time.f_beta);
+  EXPECT_EQ(serial.missing.pr_auc, parallel.missing.pr_auc);
+  EXPECT_EQ(serial.missing.precision, parallel.missing.precision);
+  EXPECT_EQ(serial.missing.f_beta, parallel.missing.f_beta);
+  for (const EvalResult& r : {serial, parallel}) {
+    EXPECT_GT(r.throughput, 0.0);
+    EXPECT_GT(r.test_seconds, 0.0);
     // Per-arrival latency tail is captured over the same window and is
     // internally consistent: p50 <= p99 <= max.
-    EXPECT_GT(on.latency_p50_us, 0.0);
-    EXPECT_LE(on.latency_p50_us, on.latency_p99_us);
-    EXPECT_LE(on.latency_p99_us, on.latency_max_us);
+    EXPECT_GT(r.latency_p50_us, 0.0);
+    EXPECT_LE(r.latency_p50_us, r.latency_p99_us);
+    EXPECT_LE(r.latency_p99_us, r.latency_max_us);
   }
 }
 

@@ -221,15 +221,12 @@ TEST_F(MoveSemanticsTest, MovedFittedModelScoresBitIdentical) {
   source.Fit(*train_);
   AnoTModel moved(std::move(source));
 
-  const std::vector<AnomalyModel::TaskScores> expected =
-      twin.ScoreBatch(*stream_);
-  const std::vector<AnomalyModel::TaskScores> actual =
-      moved.ScoreBatch(*stream_);
-  ASSERT_EQ(expected.size(), actual.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].conceptual, actual[i].conceptual) << i;
-    EXPECT_EQ(expected[i].time, actual[i].time) << i;
-    EXPECT_EQ(expected[i].missing, actual[i].missing) << i;
+  for (size_t i = 0; i < stream_->size(); ++i) {
+    const AnomalyModel::TaskScores expected = twin.Score((*stream_)[i]);
+    const AnomalyModel::TaskScores actual = moved.Score((*stream_)[i]);
+    EXPECT_EQ(expected.conceptual, actual.conceptual) << i;
+    EXPECT_EQ(expected.time, actual.time) << i;
+    EXPECT_EQ(expected.missing, actual.missing) << i;
   }
 }
 
