@@ -504,8 +504,17 @@ void BM_UpdaterIngest(benchmark::State& state) {
   AnoT system = AnoT::Build(*train, options);
   size_t i = 0;
   for (auto _ : state) {
-    const Fact& f = SharedGraph().fact(split.test[i++ % split.test.size()]);
-    benchmark::DoNotOptimize(system.IngestValid(f).added_fact);
+    // Every pass over the test window starts from the pre-stream detector,
+    // so the graph, T(e) and the pending table do not grow with the
+    // iteration count.
+    if (i == split.test.size()) {
+      state.PauseTiming();
+      system = AnoT::Build(*train, options);
+      i = 0;
+      state.ResumeTiming();
+    }
+    const Fact& f = SharedGraph().fact(split.test[i++]);
+    benchmark::DoNotOptimize(system.IngestValid(f).facts_ingested);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -1,7 +1,7 @@
 #include "core/anot.h"
 
 #include <atomic>
-#include <cmath>
+#include <algorithm>
 #include <thread>
 #include <utility>
 
@@ -97,7 +97,7 @@ void AnoT::Rebuild() {
   rules_ = std::move(built.rules);
   report_ = built.report;
   RecreateServingObjects();
-  ResetMonitorFromReport();
+  monitor_ = std::make_unique<Monitor>(report_, options_->monitor);
 }
 
 void AnoT::RecreateServingObjects() {
@@ -106,16 +106,6 @@ void AnoT::RecreateServingObjects() {
   updater_ = std::make_unique<Updater>(graph_.get(), categories_.get(),
                                        rules_.get(), &options_->detector,
                                        options_->updater);
-}
-
-void AnoT::ResetMonitorFromReport() {
-  const double e = std::max<double>(2.0, graph_->num_entities());
-  const double r = std::max<double>(1.0, graph_->num_relations());
-  monitor_ = std::make_unique<Monitor>(report_.negative_bits,
-                                       report_.num_train_timestamps,
-                                       std::max(e * e * r, 4.0),
-                                       Tier2Universe(graph_->num_entities()),
-                                       options_->monitor);
 }
 
 Scores AnoT::Score(const Fact& fact) const { return scorer_->Score(fact); }
@@ -131,9 +121,7 @@ void AnoT::SetValidityThresholds(double static_threshold,
 }
 
 UpdateEffects AnoT::IngestValid(const Fact& fact) {
-  const UpdateEffects effects = updater_->Ingest(fact);
-  if (async_ != nullptr) refresh_replay_facts_.push_back(fact);
-  return effects;
+  return updater_->Ingest(fact);
 }
 
 ThreadPool* AnoT::ServingPool() const {
@@ -198,7 +186,6 @@ void AnoT::RefreshAsync() {
   if (async_ != nullptr) return;  // coalesce: already in flight or staged
   async_ = std::make_unique<AsyncRefresh>();
   async_->snapshot = std::make_unique<TemporalKnowledgeGraph>(*graph_);
-  refresh_replay_facts_.clear();
   refresh_replay_observations_.clear();
   // The worker owns only the heap-held AsyncRefresh (stable across moves
   // of this AnoT) and a copy of the options.
@@ -242,27 +229,29 @@ void AnoT::CompleteRefresh() {
   ANOT_CHECK(async_ != nullptr);
   if (async_->worker.joinable()) async_->worker.join();
   ANOT_CHECK(async_->built.rules != nullptr);
-  // 1. Adopt the structures built from the snapshot. The old graph —
-  // including the facts ingested since the snapshot — is discarded; the
-  // replay below re-applies those ingests to the new state.
+  // 1. Adopt the structures built from the snapshot. The served graph
+  // holds the snapshot's facts followed by every fact ingested since:
+  // Updater::Ingest always appends, and it is the graph's only mutator
+  // while a refresh is in flight.
+  const std::unique_ptr<TemporalKnowledgeGraph> served = std::move(graph_);
   graph_ = std::move(async_->snapshot);
   categories_ = std::move(async_->built.categories);
   rules_ = std::move(async_->built.rules);
   report_ = async_->built.report;
   async_.reset();
   RecreateServingObjects();
-  // Monitor budget and universe sizes come from the snapshot state,
-  // exactly as a synchronous Refresh() at the snapshot point would set
-  // them — so before the ingest replay grows the graph.
-  ResetMonitorFromReport();
-  // 2. Replay the ingests logged since the snapshot through the fresh
-  // updater (their serving-time UpdateEffects were already reported; the
-  // replay's are bookkeeping against the new state and are discarded).
-  for (const Fact& fact : refresh_replay_facts_) updater_->Ingest(fact);
+  monitor_ = std::make_unique<Monitor>(report_, options_->monitor);
+  // 2. Replay that suffix through the fresh updater (its serving-time
+  // UpdateEffects were already reported; the replay's are bookkeeping
+  // against the new state and are discarded). Each fact is read from the
+  // served graph, never from graph_, which the replay grows.
+  const size_t snapshot_facts = graph_->num_facts();
+  for (size_t id = snapshot_facts; id < served->num_facts(); ++id) {
+    updater_->Ingest(served->fact(static_cast<FactId>(id)));
+  }
   // 3. Replay the observation window into the fresh monitor so the
   // in-flight bucket accounting is not lost across the swap.
   monitor_->Replay(refresh_replay_observations_);
-  refresh_replay_facts_.clear();
   refresh_replay_observations_.clear();
   ++refresh_count_;
 }
@@ -270,7 +259,6 @@ void AnoT::CompleteRefresh() {
 void AnoT::AbandonRefresh() {
   if (async_ == nullptr) return;
   async_.reset();  // cancels and joins the worker
-  refresh_replay_facts_.clear();
   refresh_replay_observations_.clear();
 }
 

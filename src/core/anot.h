@@ -129,20 +129,21 @@ class AnoT {
   //
   // RefreshAsync() snapshots the grown TKG and rebuilds the category
   // function + rule graph on a background thread while the current scorer
-  // keeps serving. Facts ingested after the snapshot are logged; monitor
-  // observations after the snapshot are logged too. Once the build is
-  // ready, the next ProcessArrival commit boundary (or FinishRefresh)
-  // performs the swap:
+  // keeps serving. Facts ingested after the snapshot are appended to the
+  // served graph as usual; monitor observations after the snapshot are
+  // logged. Once the build is ready, the next ProcessArrival commit
+  // boundary (or FinishRefresh) performs the swap:
   //
   //   1. adopt the rebuilt structures (built from the snapshot),
-  //   2. replay the logged ingests through a fresh Updater, and
+  //   2. replay the served graph's facts past the snapshot through a fresh
+  //      Updater, and
   //   3. reset the monitor to the new budget and replay the logged
   //      observations (the in-flight accounting window is preserved).
   //
   // Determinism contract: the post-swap graph, categories, rule graph,
   // scorer state and refresh_count are bit-identical to calling the
   // synchronous Refresh() at the snapshot point followed by IngestValid
-  // of the same logged facts; the post-swap monitor equals a monitor
+  // of the facts ingested since; the post-swap monitor equals a monitor
   // reset to the new budget that then observed the logged window.
 
   /// Starts a background rebuild; returns immediately. No-op when one is
@@ -229,15 +230,15 @@ class AnoT {
   void Rebuild();
   /// Recreates scorer_ and updater_ against the current structures.
   void RecreateServingObjects();
-  /// Fresh monitor adopting report_'s budget and graph_'s universe sizes.
-  void ResetMonitorFromReport();
 
   /// Swaps in the staged background build if one is ready.
   void MaybeCompleteRefresh();
-  /// Adopt staged structures + replay ingest/observation logs (see the
-  /// determinism contract above). Requires a ready staged build.
+  /// Adopt staged structures + replay the ingests and observations since
+  /// the snapshot (see the determinism contract above). Requires a ready
+  /// staged build.
   void CompleteRefresh();
-  /// Cancels and discards any in-flight background build and its logs.
+  /// Cancels and discards any in-flight background build and its
+  /// observation log.
   void AbandonRefresh();
 
   /// Lazily created worker pool for batched scoring; nullptr while the
@@ -266,9 +267,6 @@ class AnoT {
   /// joins the worker.
   struct AsyncRefresh;
   std::unique_ptr<AsyncRefresh> async_;
-  /// Facts ingested since the snapshot — replayed through the new updater
-  /// at the swap. Serving-thread only.
-  std::vector<Fact> refresh_replay_facts_;
   /// Monitor observations since the snapshot — replayed into the reset
   /// monitor at the swap. Serving-thread only.
   std::vector<MonitorObservation> refresh_replay_observations_;

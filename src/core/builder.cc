@@ -123,18 +123,20 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
   if (cancelled()) return out;
 
   // ---- Negative-error ledger ----------------------------------------------
-  const double tier1 = universe.num_entities * universe.num_entities *
-                       std::max(1.0, universe.num_relations);
+  const double tier1 =
+      Tier1Universe(universe.num_entities, universe.num_relations);
   // Tier 2 prices a mapped-but-unassociated fact (its missing association
   // partner, one entity out of |E|). It must stay far below tier 1 or
   // rule admission loses its margin over the assertion-entropy cost.
   const double tier2 = Tier2Universe(universe.num_entities);
-  NegativeErrorLedger ledger(std::max(tier1, 4.0), tier2);
+  report.tier1_universe = tier1;
+  report.tier2_universe = tier2;
+  NegativeErrorLedger ledger(tier1, tier2);
   for (const auto& [t, ids] : graph_.by_time()) {
     ledger.SetTimestampTotal(t, static_cast<uint32_t>(ids.size()));
   }
   report.num_train_timestamps = graph_.num_timestamps();
-  const double per_fact_tier1 = std::log2(std::max(tier1, 4.0));
+  const double per_fact_tier1 = std::log2(tier1);
 
   // ---- Ranking (Algorithm 1 lines 5-6) ------------------------------------
   auto rank_rules = [&](std::vector<uint32_t>* order) {

@@ -41,6 +41,10 @@ struct BuildReport {
   double assertion_bits = 0.0;   // L(A_G)
   double negative_bits = 0.0;    // L(N_G) — the monitor's budget
   size_t num_train_timestamps = 0;
+  /// The Eq. 8 universes (mdl/encoding.h) L(N_G) was priced with; the
+  /// monitor prices unseen knowledge with the same two.
+  double tier1_universe = 0.0;
+  double tier2_universe = 0.0;
   double total_bits() const {
     return model_bits + assertion_bits + negative_bits;
   }
@@ -65,6 +69,8 @@ struct BuildReport {
     v(assertion_bits);
     v(negative_bits);
     v(num_train_timestamps);
+    v(tier1_universe);
+    v(tier2_universe);
   }
 };
 

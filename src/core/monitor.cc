@@ -1,22 +1,28 @@
 #include "core/monitor.h"
 
+#include <cmath>
+
+#include "mdl/encoding.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace anot {
 
-Monitor::Monitor(double training_negative_bits, size_t training_timestamps,
-                 double tier1_universe, double tier2_universe,
-                 const MonitorOptions& options)
-    : pricing_(tier1_universe, tier2_universe),
-      options_(options),
-      training_bits_(training_negative_bits),
-      training_timestamps_(training_timestamps) {}
+Monitor::Monitor(const BuildReport& report, const MonitorOptions& options)
+    : options_(options),
+      training_bits_(report.negative_bits),
+      training_timestamps_(report.num_train_timestamps),
+      tier1_universe_(report.tier1_universe),
+      tier2_universe_(report.tier2_universe) {}
+
+double Monitor::BucketBits() const {
+  return NegativeErrorBitsAt(tier1_universe_, tier2_universe_, bucket_total_,
+                             bucket_mapped_, bucket_associated_);
+}
 
 void Monitor::CloseBucket() {
   if (!bucket_open_) return;
-  online_bits_ +=
-      pricing_.CostAt(bucket_total_, bucket_mapped_, bucket_associated_);
+  online_bits_ += BucketBits();
   ++online_timestamps_;
   bucket_open_ = false;
   bucket_total_ = bucket_mapped_ = bucket_associated_ = 0;
@@ -43,8 +49,7 @@ bool Monitor::ShouldRefresh() const {
   double pending = online_bits_;
   size_t pending_ts = online_timestamps_;
   if (bucket_open_) {
-    pending +=
-        pricing_.CostAt(bucket_total_, bucket_mapped_, bucket_associated_);
+    pending += BucketBits();
     ++pending_ts;
   }
   switch (options_.mode) {
@@ -65,7 +70,11 @@ bool Monitor::ShouldRefresh() const {
 }
 
 Status Monitor::Validate() const {
-  ANOT_RETURN_NOT_OK(pricing_.Validate());
+  ANOT_RETURN_NOT_OK(
+      ValidateNegativeErrorUniverses(tier1_universe_, tier2_universe_));
+  if (!(std::isfinite(training_bits_) && training_bits_ >= 0.0)) {
+    return Status::Internal("training budget out of range");
+  }
   if (!(online_bits_ >= 0.0)) {
     return Status::Internal("accumulated online bits negative");
   }

@@ -2,9 +2,10 @@
 
 #include <vector>
 
+#include "core/builder.h"
 #include "core/options.h"
-#include "mdl/ledger.h"
 #include "tkg/types.h"
+#include "util/status.h"
 
 namespace anot {
 
@@ -25,11 +26,10 @@ struct MonitorObservation {
 /// graph describes unseen data worse than the data it was built on.
 class Monitor {
  public:
-  /// `training_negative_bits` is the builder's L(N_G); `training_timestamps`
-  /// its timestamp count. Universe sizes must match the builder's ledger.
-  Monitor(double training_negative_bits, size_t training_timestamps,
-          double tier1_universe, double tier2_universe,
-          const MonitorOptions& options);
+  /// Adopts the build's budget: its L(N_G) (`negative_bits`), timestamp
+  /// count and the two universes its ledger priced with, so unseen
+  /// knowledge is priced exactly as the training data was.
+  Monitor(const BuildReport& report, const MonitorOptions& options);
 
   /// Feeds one observed arrival. Facts are bucketed per timestamp; a
   /// bucket is priced when the stream advances past it (or on Flush).
@@ -53,7 +53,8 @@ class Monitor {
   /// live observation would.
   void Replay(const std::vector<MonitorObservation>& observations);
 
-  /// Checks the pricing ledger, non-negative accumulated bits, and bucket
+  /// Checks the universes (ValidateNegativeErrorUniverses), a finite
+  /// non-negative budget, non-negative accumulated bits, and bucket
   /// counter coherence (associated <= mapped <= total; a closed bucket
   /// holds zeroed counters, an open one at least one arrival and a real
   /// timestamp). Returns the first violation.
@@ -64,19 +65,20 @@ class Monitor {
   void CheckInvariants() const;
 
  private:
-  /// The checkpoint codec (io/checkpoint.h) persists the pricing-ledger
-  /// universes and the accumulation/bucket state directly — the universes
-  /// are frozen at build time, so a restore must NOT recompute them from
-  /// the (since grown) graph. Its field list for the scalars below lives
-  /// in the codec.
+  /// The checkpoint codec (io/checkpoint.h) persists the accumulation and
+  /// bucket state; the budget and universes come back from the build
+  /// report. Its field list for the scalars below lives in the codec.
   friend class Checkpoint;
 
+  /// Eq. 8 cost of the open bucket.
+  double BucketBits() const;
   void CloseBucket();
 
-  NegativeErrorLedger pricing_;  // used only for CostAt (stateless pricing)
   MonitorOptions options_;
   double training_bits_;
   size_t training_timestamps_;
+  double tier1_universe_;
+  double tier2_universe_;
 
   double online_bits_ = 0.0;
   size_t online_timestamps_ = 0;

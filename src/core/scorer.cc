@@ -55,8 +55,9 @@ small_vec<RuleId, 8> Scorer::MapToRules(const Fact& fact) const {
   for (CategoryId cs : categories_->Categories(fact.subject)) {
     rules_->AppendRules(cs, fact.relation, object_cats, &mapped);
   }
+  // Distinct (c_s, c_o) pairs name distinct rules, so there is nothing to
+  // deduplicate. The order is part of the Eq. 9 sum's bit-identity.
   std::sort(mapped.begin(), mapped.end());
-  mapped.erase(std::unique(mapped.begin(), mapped.end()), mapped.end());
   return mapped;
 }
 

@@ -134,7 +134,7 @@ class Scorer {
   Scores Score(const Fact& fact, Evidence* evidence = nullptr) const;
 
   /// Rule nodes the fact maps to (any selection status). Sorted ascending,
-  /// deduplicated; inline storage covers the typical |C(s)|·|C(o)| fan-out
+  /// each rule once; inline storage covers the typical |C(s)|·|C(o)| fan-out
   /// so the per-arrival mapping allocates nothing.
   small_vec<RuleId, 8> MapToRules(const Fact& fact) const;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/witness_scan.h"
+#include "mdl/encoding.h"
 #include "util/logging.h"
 
 namespace anot {
@@ -27,7 +28,8 @@ bool Updater::ShouldAdmitRule(uint32_t online_support) const {
   // (log2 |C_E| + 2 log2 |E| + log2 |R| + 1 ≈ AtomicRuleBits upper bound).
   const double e = std::max<double>(2.0, graph_->num_entities());
   const double r = std::max<double>(2.0, graph_->num_relations());
-  const double per_fact_savings = std::log2(e * e * r);
+  const double per_fact_savings = std::log2(
+      Tier1Universe(graph_->num_entities(), graph_->num_relations()));
   const double approx_rule_cost =
       std::log2(std::max<double>(2.0, categories_->num_categories())) +
       2.0 * std::log2(e) + std::log2(r) + 1.0;
@@ -110,7 +112,6 @@ UpdateEffects Updater::Ingest(const Fact& fact) {
 
   // ---- Graph structure changes (Alg. 3 line 3) ------------------------------
   const FactId added_fact = graph_->AddFact(fact);
-  effects.added_fact = true;
 
   if (new_s_token) {
     if (categories_->UpdateEntity(fact.subject, s_token, *graph_) !=

@@ -14,7 +14,6 @@ namespace anot {
 
 /// \brief Counters describing what one Ingest call changed (diagnostics).
 struct UpdateEffects {
-  bool added_fact = false;
   uint32_t new_entity_categories = 0;
   uint32_t new_rule_nodes = 0;
   uint32_t new_rule_edges = 0;
@@ -24,7 +23,6 @@ struct UpdateEffects {
 
   /// Folds another ingest's counters into this one — stream/batch totals.
   void Accumulate(const UpdateEffects& other) {
-    added_fact |= other.added_fact;
     new_entity_categories += other.new_entity_categories;
     new_rule_nodes += other.new_rule_nodes;
     new_rule_edges += other.new_rule_edges;

@@ -180,9 +180,9 @@ Status Corrupt(const std::string& what) {
 // ----------------------------------------------------------------- codec
 //
 // Codec is a nested member of Checkpoint, so its static functions inherit
-// the friendship AnoT / CategoryFunction / Monitor / NegativeErrorLedger /
-// Updater grant to the Checkpoint class — private state is serialized
-// without widening any public API. Public structs carry their own `Fields` lists; the lists of
+// the friendship AnoT / CategoryFunction / Monitor / Updater grant to the
+// Checkpoint class — private state is serialized without widening any
+// public API. Public structs carry their own `Fields` lists; the lists of
 // private state live here.
 //
 // Each decoder reads its whole section first and checks ok() before it
@@ -394,15 +394,11 @@ struct Checkpoint::Codec {
 
   // -- section 6: monitor ---------------------------------------------------
 
-  /// The monitor's persisted scalars. The pricing-ledger universes are
-  /// frozen at build time: they must be persisted, not recomputed from the
-  /// (since grown) graph.
+  /// The monitor's persisted scalars: the online accumulation and the open
+  /// bucket. Its budget, timestamp count and universes are the report's,
+  /// which is decoded first.
   template <class M, class V>
   static void MonitorFields(M& m, V& v) {
-    v(m.pricing_.tier1_universe_);
-    v(m.pricing_.tier2_universe_);
-    v(m.training_bits_);
-    v(m.training_timestamps_);
     v(m.online_bits_);
     v(m.online_timestamps_);
     v(m.bucket_open_);
@@ -417,9 +413,7 @@ struct Checkpoint::Codec {
   }
 
   static Status DecodeMonitor(ByteReader& in, AnoT& s) {
-    // Placeholder budget and universes: the field list overwrites them.
-    s.monitor_ = std::make_unique<Monitor>(0.0, 0, 1.0, 0.0,
-                                           s.options_->monitor);
+    s.monitor_ = std::make_unique<Monitor>(s.report_, s.options_->monitor);
     MonitorFields(*s.monitor_, in);
     ANOT_RETURN_NOT_OK(in.status());
     return s.monitor_->Validate();

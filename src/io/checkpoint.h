@@ -15,14 +15,15 @@ namespace anot {
 /// A checkpoint captures everything a warm restart needs: the dictionaries
 /// and the grown TKG (as the fact log — every secondary index is replayed
 /// back deterministically through AddFact), the category function, the rule
-/// graph, the build report, the monitor (including its pricing-ledger
-/// universes, which are frozen at build time and must NOT be recomputed
-/// from the grown graph), the updater's pending-rule table in LRU order,
-/// and the serving thresholds / refresh counter. Wall-clock build time is
-/// not state and is not saved, so two identical builds save identical
-/// bytes. Loading a checkpoint and continuing the stream is bit-identical
-/// to never having restarted, at every ANOT_THREADS setting (pinned by
-/// checkpoint_test).
+/// graph, the build report, the monitor's online accumulation and open
+/// bucket, the updater's pending-rule table in LRU order, and the serving
+/// thresholds / refresh counter. The report also carries the monitor's
+/// budget and the two universes it prices with: they are frozen at build
+/// time, so a restore never recomputes them from the grown graph.
+/// Wall-clock build time is not state and is not saved, so two identical
+/// builds save identical bytes. Loading a checkpoint and continuing the
+/// stream is bit-identical to never having restarted, at every
+/// ANOT_THREADS setting (pinned by checkpoint_test).
 ///
 /// File layout (all integers little-endian, doubles as IEEE-754 bit
 /// patterns):
@@ -32,6 +33,8 @@ namespace anot {
 ///   [4]  u32 section count
 ///   per section, in fixed ascending id order:
 ///     [4] u32 section id   [8] u64 payload length   [.] payload
+///     ids 1-8: options, graph, categories, rules, report, monitor,
+///     updater, serving
 ///   [8]  u64 FNV-1a-64 checksum of every preceding byte
 ///
 /// Versioning policy: the format version is bumped on any layout change;
@@ -50,7 +53,7 @@ class Checkpoint {
   /// Footer/section framing constants, public so tests and tooling can
   /// craft or inspect checkpoint bytes.
   static constexpr char kMagic[8] = {'A', 'N', 'O', 'T', 'C', 'K', 'P', 'T'};
-  static constexpr uint32_t kFormatVersion = 6;
+  static constexpr uint32_t kFormatVersion = 7;
 
   /// Serializes `system` to `path` atomically (temp file + rename).
   /// FailedPrecondition when a background refresh is in flight — quiesce

@@ -38,6 +38,22 @@ double Tier2Universe(double num_entities) {
   return std::max(2.0, num_entities);
 }
 
+double Tier1Universe(double num_entities, double num_relations) {
+  const double e = Tier2Universe(num_entities);
+  return e * e * std::max(1.0, num_relations);
+}
+
+Status ValidateNegativeErrorUniverses(double tier1_universe,
+                                      double tier2_universe) {
+  if (!(std::isfinite(tier1_universe) && tier1_universe >= 1.0)) {
+    return Status::Internal("tier-1 universe out of range");
+  }
+  if (!(std::isfinite(tier2_universe) && tier2_universe > 0.0)) {
+    return Status::Internal("tier-2 universe out of range");
+  }
+  return Status::OK();
+}
+
 double AssociationGainBoundBits(double tier2_universe) {
   return Log2(tier2_universe);
 }

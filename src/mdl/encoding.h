@@ -5,6 +5,7 @@
 
 #include "util/containers.h"
 #include "util/math_util.h"
+#include "util/status.h"
 
 namespace anot {
 
@@ -45,8 +46,21 @@ double RuleEdgeBits(const MdlUniverse& universe, bool triadic);
 
 /// Eq. 8's tier-2 universe U2 = max(2, |E|): the universe for identifying
 /// a mapped fact's missing association partner. The builder's ledger, the
-/// monitor and the candidate-edge support bound all read U2 from here.
+/// monitor and the candidate-edge support bound all read U2 from here, and
+/// Tier1Universe builds on the same clamp.
 double Tier2Universe(double num_entities);
+
+/// Eq. 8's tier-1 universe U1 = Tier2Universe(|E|)^2 * max(1, |R|): the
+/// position universe of one timestamp, so U1 >= 4. The builder's ledger
+/// and rule ranking, the monitor and the updater's rule admission all
+/// read U1 from here. BuildReport records both universes of a build.
+double Tier1Universe(double num_entities, double num_relations);
+
+/// The universes NegativeErrorBitsAt accepts: a finite U1 >= 1 and a
+/// finite U2 > 0. The ledger and the monitor validate with this one
+/// predicate.
+Status ValidateNegativeErrorUniverses(double tier1_universe,
+                                      double tier2_universe);
 
 /// B = log2 U2: the most that associating one more mapped fact can lower
 /// NegativeErrorBitsAt, whatever the counters. Without the clamp, the
@@ -75,9 +89,9 @@ size_t MinAdmissibleEdgeSupport(const MdlUniverse& universe, bool triadic);
 /// Per-timestamp negative-error bits, Eq. 8 two-tier realization:
 ///   tier 1 (unmapped):     log2 C(U1 - mapped, total - mapped)
 ///   tier 2 (unassociated): log2 C(U2 - associated, mapped - associated)
-/// with U1 = |E|^2 * |R| the position universe of one timestamp and
-/// U2 = Tier2Universe(|E|) the universe for identifying the missing
-/// association partner.
+/// with U1 = Tier1Universe(|E|, |R|) the position universe of one
+/// timestamp and U2 = Tier2Universe(|E|) the universe for identifying the
+/// missing association partner.
 /// U2 << U1 makes explaining *concepts* (atomic rules) strictly more
 /// valuable than explaining *order* (rule edges), which realizes the
 /// paper's rules-then-edges selection order.

@@ -11,10 +11,7 @@ namespace anot {
 
 NegativeErrorLedger::NegativeErrorLedger(double tier1_universe,
                                          double tier2_universe)
-    : tier1_universe_(tier1_universe),
-      tier2_universe_(tier2_universe > 0.0
-                          ? tier2_universe
-                          : std::max(2.0, std::cbrt(tier1_universe))) {
+    : tier1_universe_(tier1_universe), tier2_universe_(tier2_universe) {
   ANOT_CHECK_OK(Validate());
 }
 
@@ -72,28 +69,9 @@ double NegativeErrorLedger::CostDelta(
   return delta_cost;
 }
 
-uint32_t NegativeErrorLedger::mapped_at(Timestamp t) const {
-  auto it = per_timestamp_.find(t);
-  return it == per_timestamp_.end() ? 0 : it->second.mapped;
-}
-
-uint32_t NegativeErrorLedger::associated_at(Timestamp t) const {
-  auto it = per_timestamp_.find(t);
-  return it == per_timestamp_.end() ? 0 : it->second.associated;
-}
-
-uint32_t NegativeErrorLedger::total_at(Timestamp t) const {
-  auto it = per_timestamp_.find(t);
-  return it == per_timestamp_.end() ? 0 : it->second.total;
-}
-
 Status NegativeErrorLedger::Validate() const {
-  if (!(std::isfinite(tier1_universe_) && tier1_universe_ >= 1.0)) {
-    return Status::Internal("tier-1 universe out of range");
-  }
-  if (!(std::isfinite(tier2_universe_) && tier2_universe_ > 0.0)) {
-    return Status::Internal("tier-2 universe out of range");
-  }
+  ANOT_RETURN_NOT_OK(
+      ValidateNegativeErrorUniverses(tier1_universe_, tier2_universe_));
   double sum = 0.0;
   // anot-lint: ordered-ok validation only: per-entry checks are
   // independent, and the float sum is compared under a tolerance that

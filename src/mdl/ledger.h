@@ -8,8 +8,6 @@
 
 namespace anot {
 
-class Checkpoint;
-
 /// \brief Incremental bookkeeping of the negative-error cost L(N_G)
 /// (Eq. 8, two-tier realization — see mdl/encoding.h).
 ///
@@ -19,12 +17,11 @@ class Checkpoint;
 /// by caching each timestamp's cost term.
 class NegativeErrorLedger {
  public:
-  /// `tier1_universe` is U1 = |E|^2 * |R|, the per-timestamp position
-  /// universe of Eq. 8; `tier2_universe` (default U1^(1/3), roughly |E|)
-  /// prices an unassociated-but-mapped fact. The resolved universes must
-  /// pass Validate().
-  explicit NegativeErrorLedger(double tier1_universe,
-                               double tier2_universe = 0.0);
+  /// `tier1_universe` is U1 = Tier1Universe(|E|, |R|), the per-timestamp
+  /// position universe of Eq. 8; `tier2_universe` is U2 =
+  /// Tier2Universe(|E|), which prices an unassociated-but-mapped fact.
+  /// Both must pass ValidateNegativeErrorUniverses.
+  NegativeErrorLedger(double tier1_universe, double tier2_universe);
 
   /// Registers the number of facts observed at `t`. Must be called before
   /// mutating that timestamp.
@@ -54,17 +51,8 @@ class NegativeErrorLedger {
   double CostDelta(const std::vector<TimestampDelta>& ordered_deltas) const;
 
   double total_cost() const { return total_cost_; }
-  uint32_t mapped_at(Timestamp t) const;
-  uint32_t associated_at(Timestamp t) const;
-  uint32_t total_at(Timestamp t) const;
-  double tier1_universe() const { return tier1_universe_; }
-  double tier2_universe() const { return tier2_universe_; }
 
-  /// Cost of a single timestamp given explicit counters (used by the
-  /// monitor on unseen timestamps).
-  double CostAt(uint32_t total, uint32_t mapped, uint32_t associated) const;
-
-  /// Checks the universes (a finite U1 >= 1 and a finite U2 > 0),
+  /// Checks the universes (ValidateNegativeErrorUniverses),
   /// per-timestamp counter ranges (associated <= mapped <= total), each
   /// cached cost bit-identical to a CostAt recompute, and total_cost_
   /// equal to the per-timestamp sum within float tolerance. Returns the
@@ -85,9 +73,8 @@ class NegativeErrorLedger {
 #endif
 
  private:
-  /// The checkpoint codec (io/checkpoint.h) persists a monitor's pricing
-  /// universes directly; per-timestamp counters are never persisted.
-  friend class Checkpoint;
+  /// Cost of a single timestamp given explicit counters.
+  double CostAt(uint32_t total, uint32_t mapped, uint32_t associated) const;
 
   struct Counters {
     uint32_t total = 0;

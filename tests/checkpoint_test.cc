@@ -438,8 +438,8 @@ TEST_F(CheckpointFixture, RejectsSectionLengthBeyondFileSize) {
 TEST_F(CheckpointFixture, RejectsSemanticallyInvalidMonitorState) {
   // Valid framing and checksum, invalid state: bucket_associated (the
   // last field of the monitor section) greater than bucket_mapped. The
-  // decoder must catch it as a Status before any Monitor is constructed —
-  // Monitor::CheckInvariants would abort on it.
+  // decoder must return it as a Status — Monitor::CheckInvariants would
+  // abort on it.
   std::string bytes = *good_bytes_;
   uint64_t len = 0;
   const size_t payload = SectionPayloadOffset(bytes, /*monitor=*/6, &len);
@@ -535,8 +535,24 @@ const SectionCorruption kSectionCorruptions[] = {
      "out of range"},
     {"non-finite report value", 5,
      [](std::string* b, size_t payload, uint64_t len) {
-       // negative_bits precedes the trailing u64 num_train_timestamps.
-       WriteU64At(b, payload + len - 16, 0x7FF8000000000000ull);  // NaN
+       // The report closes with negative_bits, the u64
+       // num_train_timestamps and the two universes.
+       WriteU64At(b, payload + len - 32, 0x7FF8000000000000ull);  // NaN
+     },
+     "non-finite"},
+    {"negative monitor budget", 5,
+     [](std::string* b, size_t payload, uint64_t len) {
+       WriteU64At(b, payload + len - 32, 0xBFF0000000000000ull);  // -1.0
+     },
+     "budget out of range"},
+    {"negative tier-1 universe", 5,
+     [](std::string* b, size_t payload, uint64_t len) {
+       WriteU64At(b, payload + len - 16, 0xBFF0000000000000ull);  // -1.0
+     },
+     "tier-1 universe out of range"},
+    {"non-finite tier-2 universe", 5,
+     [](std::string* b, size_t payload, uint64_t len) {
+       WriteU64At(b, payload + len - 8, 0x7FF0000000000000ull);  // +inf
      },
      "non-finite"},
     {"pending rule with zero support", 7,

@@ -208,7 +208,7 @@ TEST_F(CoreFixture, SelectionShrinksDescriptionLength) {
   const BuildReport& report = anot_->report();
   const double e = static_cast<double>(train_->num_entities());
   const double r = static_cast<double>(train_->num_relations());
-  NegativeErrorLedger empty_ledger(e * e * r, e);
+  NegativeErrorLedger empty_ledger(Tier1Universe(e, r), Tier2Universe(e));
   for (const auto& [t, ids] : train_->by_time()) {
     empty_ledger.SetTimestampTotal(t, static_cast<uint32_t>(ids.size()));
   }
@@ -523,7 +523,7 @@ TEST_F(CoreFixture, IngestAddsFactAndSupports) {
 
   const Fact& f = graph_->fact(split_->test.front());
   UpdateEffects effects = local.IngestValid(f);
-  EXPECT_TRUE(effects.added_fact);
+  EXPECT_EQ(effects.facts_ingested, 1u);
   EXPECT_EQ(local.graph().num_facts(), facts_before + 1);
 }
 
@@ -1303,11 +1303,22 @@ TEST_F(CoreFixture, UpdaterImprovesScoresOnNewPatterns) {
 
 // ---------------------------------------------------------------- Monitor
 
+/// A build report holding only what a monitor reads: the budget, its
+/// timestamp count and fixed universes U1 = 1e8, U2 = 1e3.
+BuildReport MonitorBudget(double negative_bits, size_t timestamps) {
+  BuildReport report;
+  report.negative_bits = negative_bits;
+  report.num_train_timestamps = timestamps;
+  report.tier1_universe = 1e8;
+  report.tier2_universe = 1e3;
+  return report;
+}
+
 TEST(MonitorTest, RefreshFiresWhenBudgetExceeded) {
   MonitorOptions mopts;
   mopts.mode = MonitorOptions::Mode::kTotalBudget;
-  Monitor monitor(/*training_negative_bits=*/100.0,
-                  /*training_timestamps=*/10, 1e8, 1e3, mopts);
+  Monitor monitor(MonitorBudget(/*negative_bits=*/100.0, /*timestamps=*/10),
+                  mopts);
   EXPECT_FALSE(monitor.ShouldRefresh());
   // Stream fully unexplained facts until the budget is blown.
   Timestamp t = 0;
@@ -1321,7 +1332,7 @@ TEST(MonitorTest, RefreshFiresWhenBudgetExceeded) {
 
 TEST(MonitorTest, WellExplainedStreamDoesNotFire) {
   MonitorOptions mopts;
-  Monitor monitor(100.0, 10, 1e8, 1e3, mopts);
+  Monitor monitor(MonitorBudget(100.0, 10), mopts);
   for (Timestamp t = 0; t < 50; ++t) {
     for (int i = 0; i < 5; ++i) monitor.Observe(t, true, true);
   }
@@ -1334,7 +1345,7 @@ TEST(MonitorTest, PerTimestampModeComparesMeans) {
   MonitorOptions mopts;
   mopts.mode = MonitorOptions::Mode::kPerTimestamp;
   // Training mean: 100 bits over 10 timestamps = 10 bits/ts.
-  Monitor monitor(100.0, 10, 1e8, 1e3, mopts);
+  Monitor monitor(MonitorBudget(100.0, 10), mopts);
   // One bad timestamp: 5 unexplained facts cost >> 10 bits.
   for (int i = 0; i < 5; ++i) monitor.Observe(0, false, false);
   monitor.Flush();
@@ -1349,8 +1360,8 @@ TEST(MonitorTest, PerTimestampSlackScalesTheFiringThreshold) {
   tight_opts.slack = 1.0;
   MonitorOptions loose_opts = tight_opts;
   loose_opts.slack = 1000.0;
-  Monitor tight(100.0, 10, 1e8, 1e3, tight_opts);
-  Monitor loose(100.0, 10, 1e8, 1e3, loose_opts);
+  Monitor tight(MonitorBudget(100.0, 10), tight_opts);
+  Monitor loose(MonitorBudget(100.0, 10), loose_opts);
   for (int i = 0; i < 2; ++i) {
     tight.Observe(0, false, false);
     loose.Observe(0, false, false);
@@ -1367,7 +1378,7 @@ TEST(MonitorTest, ShouldRefreshPricesThePendingOpenBucket) {
   // already see the pending cost, or a single-timestamp burst could never
   // fire the monitor.
   MonitorOptions mopts;
-  Monitor monitor(1.0, 1, 1e8, 1e3, mopts);
+  Monitor monitor(MonitorBudget(1.0, 1), mopts);
   for (int i = 0; i < 5; ++i) monitor.Observe(7, false, false);
   EXPECT_DOUBLE_EQ(monitor.online_negative_bits(), 0.0);
   EXPECT_EQ(monitor.online_timestamps(), 0u);
@@ -1388,9 +1399,9 @@ TEST(MonitorTest, ReplayEqualsLiveObservation) {
       {101, false, false}, {102, false, false},
   };
   MonitorOptions mopts;
-  Monitor replayed(123.0, 7, 1e8, 1e3, mopts);
+  Monitor replayed(MonitorBudget(123.0, 7), mopts);
   replayed.Replay(window);
-  Monitor observed(123.0, 7, 1e8, 1e3, mopts);
+  Monitor observed(MonitorBudget(123.0, 7), mopts);
   for (const MonitorObservation& o : window) {
     observed.Observe(o.time, o.mapped, o.associated);
   }
@@ -1406,6 +1417,29 @@ TEST(MonitorTest, ReplayEqualsLiveObservation) {
   observed.Flush();
   EXPECT_EQ(replayed.online_negative_bits(), observed.online_negative_bits());
   EXPECT_EQ(replayed.online_timestamps(), observed.online_timestamps());
+}
+
+TEST(MonitorTest, PricesTheTrainingDataAtTheBuildersBudget) {
+  // One entity, three relations: |E| < 2 is where the universe clamps
+  // bite. With no rule selected, the builder prices every training fact
+  // as unmapped; a monitor fed the same facts as unmapped must arrive at
+  // exactly the builder's L(N_G).
+  TemporalKnowledgeGraph graph;
+  graph.AddFact("solo", "r0", "solo", 0);
+  graph.AddFact("solo", "r1", "solo", 1);
+  graph.AddFact("solo", "r2", "solo", 2);
+  const AnoT anot = AnoT::Build(graph, AnoTOptions{});
+  ASSERT_EQ(anot.report().num_rules, 0u);
+
+  Monitor monitor = anot.monitor();
+  for (const auto& [t, ids] : graph.by_time()) {
+    for (size_t i = 0; i < ids.size(); ++i) {
+      monitor.Observe(t, /*mapped=*/false, /*associated=*/false);
+    }
+  }
+  monitor.Flush();
+  EXPECT_GT(anot.report().negative_bits, 0.0);
+  EXPECT_EQ(monitor.online_negative_bits(), anot.report().negative_bits);
 }
 
 TEST_F(CoreFixture, ProcessArrivalFeedsMonitorAndAutoRefreshes) {

@@ -90,6 +90,15 @@ TEST(AssociationBoundTest, Tier2UniverseIsEntitiesAtLeastTwo) {
   EXPECT_EQ(AssociationGainBoundBits(Tier2Universe(256)), 8.0);
 }
 
+TEST(AssociationBoundTest, Tier1UniverseIsTier2SquaredTimesRelations) {
+  // |E| clamps to 2 and |R| to 1, so U1 is at least 4.
+  EXPECT_EQ(Tier1Universe(0, 0), 4.0);
+  EXPECT_EQ(Tier1Universe(1, 3), 12.0);
+  EXPECT_EQ(Tier1Universe(1, 1), 4.0);
+  EXPECT_EQ(Tier1Universe(250, 0), 62500.0);
+  EXPECT_EQ(Tier1Universe(250, 20), 1250000.0);
+}
+
 TEST(AssociationBoundTest, OneAssociationCanSaveExactlyB) {
   // A lone unassociated fact at a fresh timestamp saves log2 U2: B is the
   // least per-fact bound, not just an upper one.
@@ -138,10 +147,11 @@ TEST(AssociationBoundTest, RandomLedgerStatesNeverSaveMoreThanKB) {
   for (int trial = 0; trial < 500; ++trial) {
     // Every other trial draws a tiny U2, so mapped facts can outnumber
     // the partner universe (the clamp regime).
-    const double u2 = static_cast<double>(
+    const double entities = static_cast<double>(
         trial % 2 == 0 ? 2 + rng() % 15 : 2 + rng() % 20000);
-    const double u1 = u2 * u2 * static_cast<double>(1 + rng() % 50);
-    NegativeErrorLedger ledger(std::max(u1, 4.0), u2);
+    const double relations = static_cast<double>(1 + rng() % 50);
+    const double u2 = Tier2Universe(entities);
+    NegativeErrorLedger ledger(Tier1Universe(entities, relations), u2);
     std::vector<NegativeErrorLedger::TimestampDelta> deltas;
     double k = 0;
     const Timestamp num_times = static_cast<Timestamp>(1 + rng() % 12);
@@ -234,7 +244,7 @@ TEST(EntropyTest, EmptyIsZero) {
 // ------------------------------------------------------------------ Ledger
 
 TEST(LedgerTest, TotalCostTracksTimestamps) {
-  NegativeErrorLedger ledger(1e8);
+  NegativeErrorLedger ledger(1e8, Tier2Universe(464));
   EXPECT_DOUBLE_EQ(ledger.total_cost(), 0.0);
   ledger.SetTimestampTotal(5, 10);
   EXPECT_GT(ledger.total_cost(), 0.0);
@@ -244,25 +254,25 @@ TEST(LedgerTest, TotalCostTracksTimestamps) {
 }
 
 TEST(LedgerTest, ApplyReducesCost) {
-  NegativeErrorLedger ledger(1e8);
+  NegativeErrorLedger ledger(1e8, Tier2Universe(464));
   ledger.SetTimestampTotal(1, 10);
   const double before = ledger.total_cost();
   ledger.Apply(1, +5, 0);
-  EXPECT_LT(ledger.total_cost(), before);
-  EXPECT_EQ(ledger.mapped_at(1), 5u);
+  const double mapped = ledger.total_cost();
+  EXPECT_LT(mapped, before);
   ledger.Apply(1, 0, +5);
-  EXPECT_EQ(ledger.associated_at(1), 5u);
+  EXPECT_LT(ledger.total_cost(), mapped);
 }
 
 TEST(LedgerTest, FullExplanationReachesZero) {
-  NegativeErrorLedger ledger(1e8);
+  NegativeErrorLedger ledger(1e8, Tier2Universe(464));
   ledger.SetTimestampTotal(1, 4);
   ledger.Apply(1, +4, +4);
   EXPECT_NEAR(ledger.total_cost(), 0.0, 1e-9);
 }
 
 TEST(LedgerTest, CostDeltaMatchesApply) {
-  NegativeErrorLedger ledger(1e8);
+  NegativeErrorLedger ledger(1e8, Tier2Universe(464));
   ledger.SetTimestampTotal(1, 10);
   ledger.SetTimestampTotal(2, 8);
   ledger.Apply(1, +2, 0);
@@ -283,7 +293,7 @@ TEST(LedgerDeathTest, PreviewEnforcesApplyRangeChecks) {
   // affordable could crash the moment it was applied. Preview and apply
   // now enforce the same invariants.
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  NegativeErrorLedger ledger(1e8);
+  NegativeErrorLedger ledger(1e8, Tier2Universe(464));
   ledger.SetTimestampTotal(1, 5);
   ledger.Apply(1, +2, 0);
   std::vector<NegativeErrorLedger::TimestampDelta> over_mapped{
@@ -294,23 +304,15 @@ TEST(LedgerDeathTest, PreviewEnforcesApplyRangeChecks) {
 }
 
 TEST(LedgerTest, CostDeltaIgnoresUnknownTimestamps) {
-  NegativeErrorLedger ledger(1e8);
+  NegativeErrorLedger ledger(1e8, Tier2Universe(464));
   ledger.SetTimestampTotal(1, 5);
   std::vector<NegativeErrorLedger::TimestampDelta> deltas{{99, {+3, 0}}};
   EXPECT_DOUBLE_EQ(ledger.CostDelta(deltas), 0.0);
 }
 
-TEST(LedgerTest, CostAtIsStateless) {
-  NegativeErrorLedger ledger(1e8);
-  const double a = ledger.CostAt(10, 2, 1);
-  ledger.SetTimestampTotal(3, 10);
-  ledger.Apply(3, 2, 1);
-  EXPECT_DOUBLE_EQ(ledger.CostAt(10, 2, 1), a);
-}
-
 TEST(LedgerTest, LargerUniverseCostsMorePerError) {
-  NegativeErrorLedger small(1e4);
-  NegativeErrorLedger big(1e10);
+  NegativeErrorLedger small(1e4, Tier2Universe(22));
+  NegativeErrorLedger big(1e10, Tier2Universe(2154));
   small.SetTimestampTotal(0, 5);
   big.SetTimestampTotal(0, 5);
   EXPECT_GT(big.total_cost(), small.total_cost());

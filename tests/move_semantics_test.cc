@@ -198,7 +198,7 @@ TEST_F(MoveSemanticsTest, MovedUpdaterIngestsBitIdentical) {
   for (const Fact& fact : *stream_) {
     const UpdateEffects expected = twin.Ingest(fact);
     const UpdateEffects actual = moved.Ingest(fact);
-    EXPECT_EQ(expected.added_fact, actual.added_fact);
+    EXPECT_EQ(expected.facts_ingested, actual.facts_ingested);
     EXPECT_EQ(expected.new_entity_categories, actual.new_entity_categories);
     EXPECT_EQ(expected.new_rule_nodes, actual.new_rule_nodes);
     EXPECT_EQ(expected.new_rule_edges, actual.new_rule_edges);

@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -117,13 +116,6 @@ class RefreshAsyncFixture : public ::testing::Test {
       ref_ = new AnoT(AnoT::Build(*train_, RefreshOptions(1)));
       for (const Fact& f : *prefix_) ref_->ProcessArrival(f);
       ref_->Refresh();
-      // Universe sizes the swap's monitor handoff uses: the snapshot
-      // state, before the ingest replay grows the graph (mirrors
-      // AnoT::ResetMonitorFromReport).
-      ref_tier2_ = std::max<double>(2.0, ref_->graph().num_entities());
-      const double r_rels =
-          std::max<double>(1.0, ref_->graph().num_relations());
-      ref_tier1_ = std::max(ref_tier2_ * ref_tier2_ * r_rels, 4.0);
       size_t replayed = 0;
       for (size_t i = 0; i < window_->size(); ++i) {
         if (IngestedAtDefaultThresholds((*ref_window_scores_)[i])) {
@@ -163,14 +155,12 @@ class RefreshAsyncFixture : public ::testing::Test {
     graph_ = nullptr;
   }
 
-  /// The expected post-swap monitor: reset to the post-refresh budget,
-  /// then fed the window observations (recorded from old-structure
+  /// The expected post-swap monitor: reset to the post-refresh report's
+  /// budget and universes, then fed the window observations (recorded from old-structure
   /// scores) and the probe observations (new-structure scores), exactly
   /// as ProcessArrival observed them.
   static Monitor ExpectedMonitor() {
-    Monitor expected(ref_->report().negative_bits,
-                     ref_->report().num_train_timestamps, ref_tier1_,
-                     ref_tier2_, RefreshOptions(1).monitor);
+    Monitor expected(ref_->report(), RefreshOptions(1).monitor);
     for (size_t i = 0; i < window_->size(); ++i) {
       const Scores& s = (*ref_window_scores_)[i];
       expected.Observe((*window_)[i].time, s.static_support > 0.0,
@@ -193,8 +183,6 @@ class RefreshAsyncFixture : public ::testing::Test {
   static std::vector<Scores>* ref_window_scores_;
   static std::vector<Scores>* ref_probe_scores_;
   static AnoT* ref_;
-  static double ref_tier1_;
-  static double ref_tier2_;
 };
 
 TemporalKnowledgeGraph* RefreshAsyncFixture::graph_ = nullptr;
@@ -206,8 +194,6 @@ std::vector<Fact>* RefreshAsyncFixture::probes_ = nullptr;
 std::vector<Scores>* RefreshAsyncFixture::ref_window_scores_ = nullptr;
 std::vector<Scores>* RefreshAsyncFixture::ref_probe_scores_ = nullptr;
 AnoT* RefreshAsyncFixture::ref_ = nullptr;
-double RefreshAsyncFixture::ref_tier1_ = 0.0;
-double RefreshAsyncFixture::ref_tier2_ = 0.0;
 
 // ------------------------------------------- post-swap state equivalence
 

@@ -18,6 +18,7 @@
 #include "core/monitor.h"
 #include "core/options.h"
 #include "datagen/generator.h"
+#include "mdl/encoding.h"
 #include "mdl/ledger.h"
 #include "rulegraph/rule_graph.h"
 #include "tkg/graph.h"
@@ -62,7 +63,7 @@ TEST(RuleGraphValidateTest, PassesOnBuiltRuleGraph) {
 }
 
 TEST(LedgerValidateTest, PassesThroughApplyAndSetTotal) {
-  NegativeErrorLedger ledger(1000.0);
+  NegativeErrorLedger ledger(1000.0, Tier2Universe(10));
   ledger.SetTimestampTotal(1, 10);
   ledger.SetTimestampTotal(2, 6);
   ledger.Apply(1, 4, 2);
@@ -73,7 +74,12 @@ TEST(LedgerValidateTest, PassesThroughApplyAndSetTotal) {
 }
 
 TEST(MonitorValidateTest, PassesAcrossBucketLifecycle) {
-  Monitor monitor(120.0, 10, 1000.0, 10.0, MonitorOptions{});
+  BuildReport budget;
+  budget.negative_bits = 120.0;
+  budget.num_train_timestamps = 10;
+  budget.tier1_universe = 1000.0;
+  budget.tier2_universe = 10.0;
+  Monitor monitor(budget, MonitorOptions{});
   monitor.CheckInvariants();
   monitor.Observe(1, true, true);
   monitor.Observe(1, false, false);
@@ -169,7 +175,7 @@ TEST(RuleGraphValidateDeathTest, DanglingEdgeEndpointIsFatal) {
 }
 
 TEST(LedgerValidateDeathTest, CounterRangeViolationIsFatal) {
-  NegativeErrorLedger ledger(1000.0);
+  NegativeErrorLedger ledger(1000.0, Tier2Universe(10));
   ledger.SetTimestampTotal(5, 10);
   ledger.Apply(5, 3, 1);
   ledger.CheckInvariants();
@@ -179,7 +185,7 @@ TEST(LedgerValidateDeathTest, CounterRangeViolationIsFatal) {
 }
 
 TEST(LedgerValidateDeathTest, StaleCachedCostIsFatal) {
-  NegativeErrorLedger ledger(1000.0);
+  NegativeErrorLedger ledger(1000.0, Tier2Universe(10));
   ledger.SetTimestampTotal(5, 10);
   ledger.Apply(5, 3, 1);
   // Coherent ranges, but the counters moved without a reprice: the cached
