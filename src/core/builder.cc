@@ -23,20 +23,16 @@ struct CategoryOccurrences {
 CategoryOccurrences CountCategoryOccurrences(
     const TemporalKnowledgeGraph& graph, const CategoryFunction& categories) {
   CategoryOccurrences occ;
-  occ.subject.assign(categories.num_categories() + 1, 0.0);
-  occ.object.assign(categories.num_categories() + 1, 0.0);
+  occ.subject.assign(categories.num_categories(), 0.0);
+  occ.object.assign(categories.num_categories(), 0.0);
   for (const Fact& f : graph.facts()) {
     for (CategoryId c : categories.Categories(f.subject)) {
-      if (c < occ.subject.size()) {
-        occ.subject[c] += 1.0;
-        occ.subject_total += 1.0;
-      }
+      occ.subject[c] += 1.0;
+      occ.subject_total += 1.0;
     }
     for (CategoryId c : categories.Categories(f.object)) {
-      if (c < occ.object.size()) {
-        occ.object[c] += 1.0;
-        occ.object_total += 1.0;
-      }
+      occ.object[c] += 1.0;
+      occ.object_total += 1.0;
     }
   }
   return occ;
@@ -94,15 +90,10 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
                     [&](size_t /*shard*/, size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       RuleCandidate& c = pool.rules[i];
-      const double n_cs = c.rule.subject_category < occ.subject.size()
-                              ? occ.subject[c.rule.subject_category]
-                              : 0.0;
-      const double n_co = c.rule.object_category < occ.object.size()
-                              ? occ.object[c.rule.object_category]
-                              : 0.0;
-      c.model_bits = AtomicRuleBits(universe, n_cs, occ.subject_total, n_co,
-                                    occ.object_total,
-                                    relation_counts[c.rule.relation]);
+      c.model_bits = AtomicRuleBits(
+          universe, occ.subject[c.rule.subject_category], occ.subject_total,
+          occ.object[c.rule.object_category], occ.object_total,
+          relation_counts[c.rule.relation]);
       c.assertion_bits =
           c.subject_entropy.TotalBits() + c.object_entropy.TotalBits();
       c.by_time = BuildDeltaHistogram(graph_, c.assertions);
@@ -292,8 +283,6 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
     }
     if (pair_counts.empty()) return false;
     size_t repeated = 0;
-    // anot-lint: ordered-ok integer count of repeating pairs; addition of
-    // size_t is associative and commutative, so hash order cannot change it
     for (const auto& [key, count] : pair_counts) repeated += (count > 1);
     return static_cast<double>(repeated) /
                static_cast<double>(pair_counts.size()) >

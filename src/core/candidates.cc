@@ -132,8 +132,6 @@ void CandidateGenerator::ScanChainEdges(const CandidatePool& pool,
   // Deterministic order: sort pair keys.
   std::vector<uint64_t> pair_keys;
   pair_keys.reserve(graph_.pair_sequences().size());
-  // anot-lint: ordered-ok keys are collected here and sorted below before
-  // any order-dependent use (the canonical collect-then-sort rewrite)
   for (const auto& [key, seq] : graph_.pair_sequences()) {
     if (seq.size() >= 2) pair_keys.push_back(key);
   }

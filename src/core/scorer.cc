@@ -180,12 +180,12 @@ Scorer::EdgeEvidence Scorer::EvidenceForEdge(RuleEdgeId edge_id,
                                              const Fact& fact, int depth,
                                              Walk* walk,
                                              Evidence* evidence) const {
-  if (walk->visited[edge_id]) return {};
-  walk->visited[edge_id] = 1;
+  EdgeState& state = walk->edges[edge_id];
+  if (state != EdgeState::kUnvisited) return {};
   const RuleEdge& edge = rules_->edge(edge_id);
 
   auto inst = TryInstantiate(edge, fact, kInvalidId, &walk->chain_window);
-  walk->instantiated[edge_id] = inst.has_value();
+  state = inst.has_value() ? EdgeState::kInstantiated : EdgeState::kTried;
   if (inst.has_value()) {
     EdgeEvidence out;
     out.support = EvidenceWeight(edge, *inst);
@@ -266,8 +266,7 @@ Scores Scorer::Score(const Fact& fact, Evidence* evidence) const {
 
   // ---- Temporal score (Eq. 10) ----------------------------------------------
   Walk walk;
-  walk.visited.assign(rules_->num_edges(), 0);
-  walk.instantiated.assign(rules_->num_edges(), 0);
+  walk.edges.assign(rules_->num_edges(), EdgeState::kUnvisited);
   for (RuleId id : mapped) {
     for (RuleEdgeId in_edge : rules_->InEdges(id)) {
       EdgeEvidence e = EvidenceForEdge(in_edge, fact, 0, &walk, evidence);
@@ -278,7 +277,8 @@ Scores Scorer::Score(const Fact& fact, Evidence* evidence) const {
       // a rule edge". Each edge is tried once — by this call, or earlier
       // at recursion depth > 0, where the visited filter then skips this
       // turn — so its recorded outcome is final here.
-      scores.associated = scores.associated || walk.instantiated[in_edge];
+      scores.associated = scores.associated ||
+                          walk.edges[in_edge] == EdgeState::kInstantiated;
     }
   }
 

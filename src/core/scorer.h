@@ -170,15 +170,15 @@ class Scorer {
     double support = 0.0;
     double conflict = 0.0;
   };
-  /// Per-Score walk state. `instantiated[e]` is meaningful only where
-  /// `visited[e]` is set: it records whether TryInstantiate succeeded the
-  /// one time edge e was tried, at whatever depth that happened, so the
-  /// association flag can be derived without a second instantiation pass.
-  /// `chain_window` is read by the first chain edge the walk tries, at any
-  /// depth, so a walk that meets no chain edge reads no pair history.
+  /// Per-Score walk state. `edges[e]` records whether edge e was tried
+  /// and, if so, whether TryInstantiate succeeded the one time it was, at
+  /// whatever depth that happened, so the association flag can be derived
+  /// without a second instantiation pass. `chain_window` is read by the
+  /// first chain edge the walk tries, at any depth, so a walk that meets
+  /// no chain edge reads no pair history.
+  enum class EdgeState : uint8_t { kUnvisited, kTried, kInstantiated };
   struct Walk {
-    std::vector<uint8_t> visited;
-    std::vector<uint8_t> instantiated;
+    std::vector<EdgeState> edges;
     ChainWindow chain_window;
   };
   EdgeEvidence EvidenceForEdge(RuleEdgeId edge_id, const Fact& fact,

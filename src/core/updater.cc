@@ -65,8 +65,6 @@ Status Updater::Validate() const {
       std::max<size_t>(1, options_.max_pending_rules)) {
     return Status::Internal("pending table exceeds max_pending_rules cap");
   }
-  // anot-lint: ordered-ok validation only: each entry's check is
-  // independent, and which violation is reported first does not matter
   for (const auto& [rule, entry] : pending_rules_) {
     if (entry.support < 1) {
       return Status::Internal("pending rule with zero support");
@@ -113,17 +111,14 @@ UpdateEffects Updater::Ingest(const Fact& fact) {
   // ---- Graph structure changes (Alg. 3 line 3) ------------------------------
   const FactId added_fact = graph_->AddFact(fact);
 
-  if (new_s_token) {
-    if (categories_->UpdateEntity(fact.subject, s_token, *graph_) !=
-        kInvalidId) {
-      ++effects.new_entity_categories;
-    }
+  // UpdateEntity runs after AddFact: R(e) must already hold the token.
+  if (new_s_token &&
+      categories_->UpdateEntity(fact.subject, s_token) != kInvalidId) {
+    ++effects.new_entity_categories;
   }
-  if (new_o_token) {
-    if (categories_->UpdateEntity(fact.object, o_token, *graph_) !=
-        kInvalidId) {
-      ++effects.new_entity_categories;
-    }
+  if (new_o_token &&
+      categories_->UpdateEntity(fact.object, o_token) != kInvalidId) {
+    ++effects.new_entity_categories;
   }
 
   // ---- Graph pattern changes (Alg. 3 lines 10-14) ---------------------------

@@ -276,48 +276,27 @@ struct Checkpoint::Codec {
     const CategoryFunction& fn = *s.categories_;
     w(fn.categories_.size());
     for (const auto& info : fn.categories_) w.Put(info);
-    w(fn.entity_categories_.size());
-    for (const auto& cats : fn.entity_categories_) w.List(cats);
-    // Canonical order: the singleton map is unordered in memory, so sort
-    // by token before writing.
-    std::vector<std::pair<uint32_t, CategoryId>> singletons(
-        fn.singleton_categories_.begin(), fn.singleton_categories_.end());
-    // anot-lint: ordered-ok the entries are sorted by token immediately
-    // below, so the map's iteration order cannot reach the output bytes.
-    std::sort(singletons.begin(), singletons.end());
-    w(singletons.size());
-    for (const auto& [token, cat] : singletons) {
-      w(token);
-      w(cat);
-    }
   }
 
+  /// Reads the category list and derives C(e) and the token index from it.
+  /// Each category is checked before AddCategory sees it, so a corrupt
+  /// member id fails here instead of indexing past C(e).
   static Status DecodeCategories(ByteReader& in, AnoT& s) {
-    s.categories_ = std::make_unique<CategoryFunction>();
-    CategoryFunction& fn = *s.categories_;
     std::vector<CategoryFunction::CategoryInfo> categories(in.Count(16));
     for (auto& info : categories) in.Get(info);
-    fn.entity_categories_.resize(in.Count(8));
-    for (auto& cats : fn.entity_categories_) in.List(cats);
-    std::vector<std::pair<uint32_t, CategoryId>> singletons(in.Count(8));
-    for (auto& [token, cat] : singletons) {
-      in(token);
-      in(cat);
-    }
     ANOT_RETURN_NOT_OK(in.status());
 
-    for (size_t i = 1; i < singletons.size(); ++i) {
-      if (singletons[i].first <= singletons[i - 1].first) {
-        return Status::InvalidArgument(
-            "singleton tokens not strictly ascending");
-      }
-    }
-    // AddCategory also rebuilds the derived token index in id order.
-    for (auto& info : categories) {
+    const size_t num_entities = s.graph_->num_entities();
+    s.categories_ = std::make_unique<CategoryFunction>();
+    CategoryFunction& fn = *s.categories_;
+    fn.entity_categories_.resize(num_entities);
+    for (CategoryId c = 0; c < categories.size(); ++c) {
+      CategoryFunction::CategoryInfo& info = categories[c];
+      ANOT_RETURN_NOT_OK(
+          CategoryFunction::ValidateCategory(c, info, num_entities));
       fn.AddCategory(std::move(info.tokens), std::move(info.members));
     }
-    fn.singleton_categories_.insert(singletons.begin(), singletons.end());
-    return fn.Validate(s.graph_->num_entities());
+    return Status::OK();
   }
 
   // -- section 4: rule graph ------------------------------------------------

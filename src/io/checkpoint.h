@@ -45,15 +45,14 @@ namespace anot {
 /// each structure's invariants once, in its Validate(), which the loader
 /// runs before any ANOT_CHECK-bearing constructor or mutator sees the data.
 ///
-/// Serialization order is canonical (unordered containers are sorted
-/// before writing), so saving a just-loaded detector reproduces the
-/// original file byte for byte.
+/// Serialization order is canonical, so saving a just-loaded detector
+/// reproduces the original file byte for byte.
 class Checkpoint {
  public:
   /// Footer/section framing constants, public so tests and tooling can
   /// craft or inspect checkpoint bytes.
   static constexpr char kMagic[8] = {'A', 'N', 'O', 'T', 'C', 'K', 'P', 'T'};
-  static constexpr uint32_t kFormatVersion = 7;
+  static constexpr uint32_t kFormatVersion = 8;
 
   /// Serializes `system` to `path` atomically (temp file + rename).
   /// FailedPrecondition when a background refresh is in flight — quiesce

@@ -73,9 +73,6 @@ Status NegativeErrorLedger::Validate() const {
   ANOT_RETURN_NOT_OK(
       ValidateNegativeErrorUniverses(tier1_universe_, tier2_universe_));
   double sum = 0.0;
-  // anot-lint: ordered-ok validation only: per-entry checks are
-  // independent, and the float sum is compared under a tolerance that
-  // absorbs ordering drift
   for (const auto& [t, c] : per_timestamp_) {
     if (c.mapped > c.total) {
       return Status::Internal(StrFormat("timestamp %lld: mapped %u > total %u",

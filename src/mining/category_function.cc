@@ -131,29 +131,24 @@ CategoryFunction CategoryFunction::Build(
       if (fn.entity_categories_[e].size() < k) takers.push_back(e);
     }
     if (takers.size() < options.min_support) continue;
-    CategoryId c = fn.AddCategory(std::move(combo.tokens), takers);
-    for (EntityId e : takers) fn.AssignToEntity(e, c);
+    fn.AddCategory(std::move(combo.tokens), std::move(takers));
   }
 
   // 5. Fallback: entities with no category yet get a singleton category
   // for their most frequent relation token, guaranteeing total coverage.
+  // One singleton per token, indexed by token; entities are visited in
+  // ascending order, so each member list stays sorted.
+  std::vector<CategoryId> singletons(2 * graph.num_relations(), kInvalidId);
   for (EntityId e = 0; e < graph.num_entities(); ++e) {
     if (!fn.entity_categories_[e].empty()) continue;
     const auto& txn = transactions[e];
     if (txn.empty()) continue;  // isolated entity: stays uncategorized
-    uint32_t token = txn.front();
-    auto it = fn.singleton_categories_.find(token);
-    CategoryId c;
-    if (it != fn.singleton_categories_.end()) {
-      c = it->second;
-      fn.categories_[c].members.push_back(e);
-      std::sort(fn.categories_[c].members.begin(),
-                fn.categories_[c].members.end());
+    CategoryId& c = singletons[txn.front()];
+    if (c == kInvalidId) {
+      c = fn.AddCategory({txn.front()}, {e});
     } else {
-      c = fn.AddCategory({token}, {e});
-      fn.singleton_categories_[token] = c;
+      fn.AddMember(c, e);
     }
-    fn.AssignToEntity(e, c);
   }
 
   return fn;
@@ -161,20 +156,22 @@ CategoryFunction CategoryFunction::Build(
 
 CategoryId CategoryFunction::AddCategory(std::vector<uint32_t> tokens,
                                          std::vector<EntityId> members) {
-  CategoryId id = static_cast<CategoryId>(categories_.size());
+  const CategoryId id = static_cast<CategoryId>(categories_.size());
   for (uint32_t t : tokens) token_index_[t].push_back(id);
+  // id is the largest category id yet, so appending keeps C(e) ascending.
+  for (EntityId e : members) entity_categories_[e].push_back(id);
   categories_.push_back(CategoryInfo{std::move(tokens), std::move(members)});
   return id;
 }
 
-void CategoryFunction::AssignToEntity(EntityId e, CategoryId c) {
-  if (e >= entity_categories_.size()) {
-    entity_categories_.resize(e + 1);
-  }
+bool CategoryFunction::AddMember(CategoryId c, EntityId e) {
   auto& cats = entity_categories_[e];
   auto pos = std::lower_bound(cats.begin(), cats.end(), c);
-  if (pos != cats.end() && *pos == c) return;
+  if (pos != cats.end() && *pos == c) return false;
   cats.insert(pos, c);
+  auto& members = categories_[c].members;
+  members.insert(std::lower_bound(members.begin(), members.end(), e), e);
+  return true;
 }
 
 const std::vector<CategoryId>& CategoryFunction::Categories(
@@ -207,54 +204,24 @@ std::string CategoryFunction::Describe(
   return out;
 }
 
-CategoryId CategoryFunction::UpdateEntity(
-    EntityId e, uint32_t new_token, const TemporalKnowledgeGraph& graph) {
-  if (e >= entity_categories_.size()) {
-    entity_categories_.resize(e + 1);
-  }
-  // Candidate categories: combinations containing the new token whose
-  // relation set intersects R(e) (Algorithm 3 line 7).
-  const auto& entity_tokens = graph.RelationTokens(e);
+CategoryId CategoryFunction::UpdateEntity(EntityId e, uint32_t new_token) {
+  if (e >= entity_categories_.size()) entity_categories_.resize(e + 1);
+  // Algorithm 3 line 7: the category containing the token that covers the
+  // most entities. The index lists ids ascending, so the first of equally
+  // large categories wins.
   CategoryId best = kInvalidId;
-  size_t best_members = 0;
   auto it = token_index_.find(new_token);
   if (it != token_index_.end()) {
     for (CategoryId c : it->second) {
-      const auto& info = categories_[c];
-      bool intersects = false;
-      for (uint32_t t : info.tokens) {
-        if (entity_tokens.count(t) > 0) {
-          intersects = true;
-          break;
-        }
-      }
-      if (!intersects) continue;
-      if (info.members.size() > best_members ||
-          (info.members.size() == best_members && c < best)) {
+      if (best == kInvalidId ||
+          categories_[c].members.size() > categories_[best].members.size()) {
         best = c;
-        best_members = info.members.size();
       }
     }
   }
-  if (best == kInvalidId) {
-    // Anonymous singleton category for the new behaviour.
-    auto sit = singleton_categories_.find(new_token);
-    if (sit != singleton_categories_.end()) {
-      best = sit->second;
-    } else {
-      best = AddCategory({new_token}, {});
-      singleton_categories_[new_token] = best;
-    }
-  }
-  const auto& cats = entity_categories_[e];
-  if (std::binary_search(cats.begin(), cats.end(), best)) {
-    return kInvalidId;  // already assigned
-  }
-  AssignToEntity(e, best);
-  auto& members = categories_[best].members;
-  auto pos = std::lower_bound(members.begin(), members.end(), e);
-  if (pos == members.end() || *pos != e) members.insert(pos, e);
-  return best;
+  // Lines 8-9: an anonymous singleton category for the new behaviour.
+  if (best == kInvalidId) return AddCategory({new_token}, {e});
+  return AddMember(best, e) ? best : kInvalidId;
 }
 
 namespace {
@@ -268,46 +235,27 @@ bool StrictlyAscending(const std::vector<T>& v) {
 
 }  // namespace
 
+Status CategoryFunction::ValidateCategory(CategoryId c,
+                                          const CategoryInfo& info,
+                                          size_t num_entities) {
+  if (!StrictlyAscending(info.tokens)) {
+    return Status::Internal(
+        StrFormat("category %u tokens not strictly ascending", c));
+  }
+  if (!StrictlyAscending(info.members)) {
+    return Status::Internal(
+        StrFormat("category %u members not strictly ascending", c));
+  }
+  if (!info.members.empty() && info.members.back() >= num_entities) {
+    return Status::Internal(StrFormat(
+        "category %u has a member outside the entity universe", c));
+  }
+  return Status::OK();
+}
+
 Status CategoryFunction::Validate(size_t num_entities) const {
   for (CategoryId c = 0; c < categories_.size(); ++c) {
-    const CategoryInfo& info = categories_[c];
-    if (!StrictlyAscending(info.tokens)) {
-      return Status::Internal(
-          StrFormat("category %u tokens not strictly ascending", c));
-    }
-    if (!StrictlyAscending(info.members)) {
-      return Status::Internal(
-          StrFormat("category %u members not strictly ascending", c));
-    }
-    if (!info.members.empty() && info.members.back() >= num_entities) {
-      return Status::Internal(
-          StrFormat("category %u has a member outside the entity universe",
-                    c));
-    }
-  }
-  if (entity_categories_.size() > num_entities) {
-    return Status::Internal(
-        "entity-category table larger than the entity universe");
-  }
-  for (EntityId e = 0; e < entity_categories_.size(); ++e) {
-    const std::vector<CategoryId>& cats = entity_categories_[e];
-    if (!StrictlyAscending(cats)) {
-      return Status::Internal(
-          StrFormat("entity %u categories not strictly ascending", e));
-    }
-    if (!cats.empty() && cats.back() >= categories_.size()) {
-      return Status::Internal(
-          StrFormat("entity %u assigned an unknown category", e));
-    }
-  }
-  // anot-lint: ordered-ok validation only: each entry's check is
-  // independent, and which violation is reported first does not matter
-  for (const auto& [token, c] : singleton_categories_) {
-    if (c >= categories_.size() ||
-        categories_[c].tokens != std::vector<uint32_t>{token}) {
-      return Status::Internal(StrFormat(
-          "singleton entry for token %u is not a one-token category", token));
-    }
+    ANOT_RETURN_NOT_OK(ValidateCategory(c, categories_[c], num_entities));
   }
   return Status::OK();
 }
@@ -315,13 +263,24 @@ Status CategoryFunction::Validate(size_t num_entities) const {
 void CategoryFunction::CheckInvariants(size_t num_entities) const {
 #ifdef ANOT_VALIDATE
   ANOT_CHECK_OK(Validate(num_entities));
-  // AddCategory appends ids to token_index_ in creation order, so the
-  // recompute in id order must match exactly (content and order).
-  std::unordered_map<uint32_t, std::vector<CategoryId>> want;
+  ANOT_CHECK(entity_categories_.size() <= num_entities)
+      << "entity-category table larger than the entity universe";
+  // Both derived tables are filled in category-id order, so the recompute
+  // in id order must match exactly (content and order).
+  std::unordered_map<uint32_t, std::vector<CategoryId>> want_index;
+  std::vector<std::vector<CategoryId>> want_categories(
+      entity_categories_.size());
   for (CategoryId c = 0; c < categories_.size(); ++c) {
-    for (uint32_t t : categories_[c].tokens) want[t].push_back(c);
+    for (uint32_t t : categories_[c].tokens) want_index[t].push_back(c);
+    for (EntityId e : categories_[c].members) {
+      ANOT_CHECK(e < want_categories.size())
+          << "category " << c << " member " << e << " has no C(e) slot";
+      want_categories[e].push_back(c);
+    }
   }
-  ANOT_CHECK(token_index_ == want) << "token index diverged";
+  ANOT_CHECK(token_index_ == want_index) << "token index diverged";
+  ANOT_CHECK(entity_categories_ == want_categories)
+      << "C(e) is not the inverse of the member lists";
 #else
   (void)num_entities;
 #endif  // ANOT_VALIDATE

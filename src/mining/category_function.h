@@ -100,28 +100,29 @@ class CategoryFunction {
                        const TemporalKnowledgeGraph& graph) const;
 
   /// Handles entity semantic changes (Algorithm 3): entity e has gained
-  /// `new_token`. Picks the known combination containing the token that
-  /// covers the most entities and intersects R(e); creates an anonymous
-  /// singleton category when none exists. Returns the category assigned,
-  /// or kInvalidId when e already carries it.
-  CategoryId UpdateEntity(EntityId e, uint32_t new_token,
-                          const TemporalKnowledgeGraph& graph);
+  /// `new_token`. Call it only after the fact that brought the token is in
+  /// the graph: R(e) then holds the token, so every category containing it
+  /// passes Algorithm 3 line 7's intersects-R(e) test. Assigns the category
+  /// containing the token with the most members (ties: lowest id), or a
+  /// fresh anonymous singleton category when none contains it. Returns the
+  /// category assigned, or kInvalidId when e already carries it.
+  CategoryId UpdateEntity(EntityId e, uint32_t new_token);
 
-  /// Checks the mined state against its invariants: category tokens and
-  /// members strictly ascending, members and tracked entities inside the
-  /// entity universe `num_entities`, each entity's categories strictly
-  /// ascending and known, and every singleton entry naming a one-token
-  /// category of its token. Returns the first violation.
+  /// Checks the category list, the only stored form, against its
+  /// invariants: each category's tokens and members strictly ascending,
+  /// and every member inside the entity universe `num_entities`. Returns
+  /// the first violation.
   Status Validate(size_t num_entities) const;
 
   /// Debug validator (compiled behind ANOT_VALIDATE, no-op otherwise):
-  /// Validate() plus an exact recompute of the derived token index.
-  /// ANOT_CHECK-fails on the first violation.
+  /// Validate() plus an exact recompute of the two tables derived from the
+  /// category list, the token index and C(e) (the inverse of the member
+  /// lists). ANOT_CHECK-fails on the first violation.
   void CheckInvariants(size_t num_entities) const;
 
  private:
-  /// The checkpoint codec (io/checkpoint.h) writes and reads the mined
-  /// tables directly and recomputes token_index_ from categories_ at load.
+  /// The checkpoint codec (io/checkpoint.h) writes the category list and
+  /// rebuilds the derived tables from it at load through AddCategory.
   friend class Checkpoint;
 
   struct CategoryInfo {
@@ -136,16 +137,23 @@ class CategoryFunction {
     }
   };
 
+  /// The invariants Validate() checks, for one category.
+  static Status ValidateCategory(CategoryId c, const CategoryInfo& info,
+                                 size_t num_entities);
+
+  /// Appends category (tokens, members), indexes its tokens and adds it to
+  /// C(e) of every member, which must lie inside entity_categories_.
   CategoryId AddCategory(std::vector<uint32_t> tokens,
                          std::vector<EntityId> members);
-  void AssignToEntity(EntityId e, CategoryId c);
+  /// Adds e to category c and c to C(e); false when e already carries c.
+  bool AddMember(CategoryId c, EntityId e);
 
+  /// The category list: the only stored form of C(·).
   std::vector<CategoryInfo> categories_;
+  /// Derived: C(e), ascending, indexed by entity.
   std::vector<std::vector<CategoryId>> entity_categories_;
-  /// token -> categories whose combination contains it (for UpdateEntity).
+  /// Derived: token -> categories whose combination contains it, ascending.
   std::unordered_map<uint32_t, std::vector<CategoryId>> token_index_;
-  /// token -> singleton fallback category, if one was created.
-  std::unordered_map<uint32_t, CategoryId> singleton_categories_;
 };
 
 }  // namespace anot

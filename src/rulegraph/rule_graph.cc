@@ -216,9 +216,6 @@ void RuleGraph::CheckInvariants() const {
   ANOT_CHECK_OK(Validate());
   const size_t n = rules_.size();
   size_t indexed = 0;
-  // anot-lint: ordered-ok validation only: each run's checks are
-  // independent of every other run, so iteration order cannot change the
-  // verdict
   for (const auto& [key, run] : rule_runs_) {
     ANOT_CHECK(run.size <= run.capacity &&
                size_t{run.begin} + run.capacity <= keyed_rules_.size())

@@ -211,14 +211,10 @@ void TemporalKnowledgeGraph::CheckInvariants() const {
       return a < b;
     });
   };
-  // anot-lint: ordered-ok validation only: each bucket is sorted in place
-  // independently; no cross-bucket state accumulates
   for (auto& [key, list] : want_pairs) {
     (void)key;
     sort_by_time_id(&list);
   }
-  // anot-lint: ordered-ok validation only: per-bucket in-place sort,
-  // order-independent
   for (auto& [e, list] : want_subjects) {
     (void)e;
     sort_by_time_id(&list);
@@ -226,8 +222,6 @@ void TemporalKnowledgeGraph::CheckInvariants() const {
   auto check_sorted_lists =
       [this](const dense_map<uint64_t, std::vector<FactId>>& got,
              const char* what) {
-        // anot-lint: ordered-ok validation only: each bucket's sortedness
-        // check is independent of every other bucket
         for (const auto& [key, list] : got) {
           (void)key;
           ANOT_CHECK(!list.empty()) << what << " holds an empty bucket";
@@ -243,8 +237,6 @@ void TemporalKnowledgeGraph::CheckInvariants() const {
   check_sorted_lists(pair_index_, "pair index");
   ANOT_CHECK(pair_index_.size() == want_pairs.size() &&
              [&] {
-               // anot-lint: ordered-ok validation only: per-key lookup and
-               // compare, conjunction over all keys is order-independent
                for (const auto& [key, list] : want_pairs) {
                  auto it = pair_index_.find(key);
                  if (it == pair_index_.end() || it->second != list) {
@@ -256,8 +248,6 @@ void TemporalKnowledgeGraph::CheckInvariants() const {
       << "pair index diverged";
   ANOT_CHECK(subject_index_.size() == want_subjects.size())
       << "subject index size diverged";
-  // anot-lint: ordered-ok validation only: per-entity lookup and compare,
-  // order-independent
   for (const auto& [e, list] : want_subjects) {
     auto it = subject_index_.find(e);
     ANOT_CHECK(it != subject_index_.end() && it->second == list)

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "anomaly/injector.h"
@@ -486,6 +487,36 @@ size_t FirstMultiTokenCategory(const std::string& b, size_t payload) {
   return 0;
 }
 
+/// Fields visitor summing the encoded widths of the fields before
+/// `target` (integers and doubles are stored at their own width).
+struct FieldOffset {
+  // anot-own: points into the struct whose Fields list is walked, which
+  // outlives the walk.
+  const void* target = nullptr;
+  size_t bytes = 0;
+  bool found = false;
+
+  template <class U>
+  void operator()(U& x) {
+    static_assert(std::is_arithmetic_v<U>, "stored at its own width");
+    if (&x == target) found = true;
+    if (!found) bytes += sizeof(U);
+  }
+};
+
+/// Offset of BuildReport field `field` inside the report section's
+/// payload, found by name through BuildReport::Fields, so a field appended
+/// to the list cannot retarget a row.
+template <class T>
+size_t ReportFieldOffset(T BuildReport::*field) {
+  BuildReport report;
+  FieldOffset offset;
+  offset.target = &(report.*field);
+  report.Fields(offset);
+  EXPECT_TRUE(offset.found) << "field not in BuildReport::Fields";
+  return offset.bytes;
+}
+
 struct SectionCorruption {
   // anot-own: points at a string literal in kSectionCorruptions.
   const char* name;
@@ -517,6 +548,19 @@ const SectionCorruption kSectionCorruptions[] = {
        WriteU32At(b, off + 8, 0xFFFFFFF0u);  // first token above the second
      },
      "tokens not strictly ascending"},
+    {"category member outside the entity universe", 3,
+     [](std::string* b, size_t payload, uint64_t) {
+       // First category: u64 token count and tokens, then u64 member
+       // count and members. Raising the last member keeps them ascending.
+       const size_t tokens = payload + 8;
+       const size_t members =
+           tokens + 8 + 4 * static_cast<size_t>(ReadU64At(*b, tokens));
+       const uint64_t num_members = ReadU64At(*b, members);
+       ASSERT_GT(num_members, 0u) << "first category has no members";
+       WriteU32At(b, members + 8 + 4 * static_cast<size_t>(num_members - 1),
+                  0xFFFFFFF0u);
+     },
+     "outside the entity universe"},
     {"edge naming an unknown rule", 4,
      [](std::string* b, size_t payload, uint64_t) {
        const uint64_t num_rules = ReadU64At(*b, payload);
@@ -528,31 +572,32 @@ const SectionCorruption kSectionCorruptions[] = {
      "unknown rule"},
     {"report flag out of range", 5,
      [](std::string* b, size_t payload, uint64_t) {
-       // combination_cap_hit: one byte after u64 num_categories and u64
-       // num_mined_combinations.
-       (*b)[payload + 16] = 2;
+       (*b)[payload + ReportFieldOffset(&BuildReport::combination_cap_hit)] =
+           2;
      },
      "out of range"},
     {"non-finite report value", 5,
-     [](std::string* b, size_t payload, uint64_t len) {
-       // The report closes with negative_bits, the u64
-       // num_train_timestamps and the two universes.
-       WriteU64At(b, payload + len - 32, 0x7FF8000000000000ull);  // NaN
+     [](std::string* b, size_t payload, uint64_t) {
+       WriteU64At(b, payload + ReportFieldOffset(&BuildReport::negative_bits),
+                  0x7FF8000000000000ull);  // NaN
      },
      "non-finite"},
     {"negative monitor budget", 5,
-     [](std::string* b, size_t payload, uint64_t len) {
-       WriteU64At(b, payload + len - 32, 0xBFF0000000000000ull);  // -1.0
+     [](std::string* b, size_t payload, uint64_t) {
+       WriteU64At(b, payload + ReportFieldOffset(&BuildReport::negative_bits),
+                  0xBFF0000000000000ull);  // -1.0
      },
      "budget out of range"},
     {"negative tier-1 universe", 5,
-     [](std::string* b, size_t payload, uint64_t len) {
-       WriteU64At(b, payload + len - 16, 0xBFF0000000000000ull);  // -1.0
+     [](std::string* b, size_t payload, uint64_t) {
+       WriteU64At(b, payload + ReportFieldOffset(&BuildReport::tier1_universe),
+                  0xBFF0000000000000ull);  // -1.0
      },
      "tier-1 universe out of range"},
     {"non-finite tier-2 universe", 5,
-     [](std::string* b, size_t payload, uint64_t len) {
-       WriteU64At(b, payload + len - 8, 0x7FF0000000000000ull);  // +inf
+     [](std::string* b, size_t payload, uint64_t) {
+       WriteU64At(b, payload + ReportFieldOffset(&BuildReport::tier2_universe),
+                  0x7FF0000000000000ull);  // +inf
      },
      "non-finite"},
     {"pending rule with zero support", 7,

@@ -374,7 +374,7 @@ TEST_F(CategoryFixture, UpdateEntityAddsCategoryForNewToken) {
   RelationId plays = *g_.relation_dict().TryGet("plays_for");
   const size_t before = fn.Categories(d0).size();
   g_.AddFact("director0", "plays_for", "club", 99);
-  CategoryId added = fn.UpdateEntity(d0, OutRelationToken(plays), g_);
+  CategoryId added = fn.UpdateEntity(d0, OutRelationToken(plays));
   EXPECT_NE(added, kInvalidId);
   EXPECT_GT(fn.Categories(d0).size(), before);
   // The entity is now a member of the added category.
@@ -388,10 +388,44 @@ TEST_F(CategoryFixture, UpdateEntityUnknownTokenCreatesSingleton) {
   EntityId a0 = *g_.entity_dict().TryGet("athlete0");
   g_.AddFact("athlete0", "retires_from", "club", 99);
   RelationId retire = *g_.relation_dict().TryGet("retires_from");
-  CategoryId added = fn.UpdateEntity(a0, OutRelationToken(retire), g_);
+  CategoryId added = fn.UpdateEntity(a0, OutRelationToken(retire));
   EXPECT_NE(added, kInvalidId);
   EXPECT_EQ(fn.num_categories(), cats_before + 1);
   EXPECT_EQ(fn.Combination(added).size(), 1u);
+}
+
+TEST_F(CategoryFixture, EntitiesGainingOneUnseenTokenShareOneSingleton) {
+  auto fn = CategoryFunction::Build(g_, opts_);
+  const size_t cats_before = fn.num_categories();
+  const EntityId a0 = *g_.entity_dict().TryGet("athlete0");
+  const EntityId d0 = *g_.entity_dict().TryGet("director0");
+  g_.AddFact("athlete0", "retires_from", "club", 99);
+  g_.AddFact("director0", "retires_from", "club", 100);
+  const uint32_t token =
+      OutRelationToken(*g_.relation_dict().TryGet("retires_from"));
+  const CategoryId first = fn.UpdateEntity(a0, token);
+  ASSERT_NE(first, kInvalidId);
+  EXPECT_EQ(fn.UpdateEntity(d0, token), first);
+  EXPECT_EQ(fn.num_categories(), cats_before + 1);
+  EXPECT_EQ(fn.Combination(first), std::vector<uint32_t>{token});
+  EXPECT_EQ(fn.Members(first),
+            (std::vector<EntityId>{std::min(a0, d0), std::max(a0, d0)}));
+  // C(e) stays the exact inverse of the member lists.
+  for (CategoryId c = 0; c < fn.num_categories(); ++c) {
+    for (EntityId e : fn.Members(c)) {
+      const auto& cats = fn.Categories(e);
+      EXPECT_TRUE(std::binary_search(cats.begin(), cats.end(), c))
+          << "entity " << e << " lacks category " << c;
+    }
+  }
+  for (EntityId e = 0; e < g_.num_entities(); ++e) {
+    for (CategoryId c : fn.Categories(e)) {
+      const auto& members = fn.Members(c);
+      EXPECT_TRUE(std::binary_search(members.begin(), members.end(), e))
+          << "category " << c << " lacks member " << e;
+    }
+  }
+  fn.CheckInvariants(g_.num_entities());
 }
 
 TEST_F(CategoryFixture, UpdateEntityIdempotent) {
@@ -399,10 +433,10 @@ TEST_F(CategoryFixture, UpdateEntityIdempotent) {
   EntityId d0 = *g_.entity_dict().TryGet("director0");
   RelationId plays = *g_.relation_dict().TryGet("plays_for");
   g_.AddFact("director0", "plays_for", "club", 99);
-  CategoryId first = fn.UpdateEntity(d0, OutRelationToken(plays), g_);
+  CategoryId first = fn.UpdateEntity(d0, OutRelationToken(plays));
   EXPECT_NE(first, kInvalidId);
   // Re-applying the same token is a no-op.
-  EXPECT_EQ(fn.UpdateEntity(d0, OutRelationToken(plays), g_), kInvalidId);
+  EXPECT_EQ(fn.UpdateEntity(d0, OutRelationToken(plays)), kInvalidId);
 }
 
 TEST_F(CategoryFixture, NewEntityGetsCategoriesViaUpdate) {
@@ -411,7 +445,7 @@ TEST_F(CategoryFixture, NewEntityGetsCategoriesViaUpdate) {
   g_.AddFact("newcomer", "plays_for", "club", 100);
   RelationId plays = *g_.relation_dict().TryGet("plays_for");
   EXPECT_TRUE(fn.Categories(fresh).empty());
-  CategoryId added = fn.UpdateEntity(fresh, OutRelationToken(plays), g_);
+  CategoryId added = fn.UpdateEntity(fresh, OutRelationToken(plays));
   EXPECT_NE(added, kInvalidId);
   EXPECT_FALSE(fn.Categories(fresh).empty());
 }

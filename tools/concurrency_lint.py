@@ -111,10 +111,10 @@ def lint_file(path: str, text: str) -> List[Finding]:
 
     def emit(lineno: int, rule: str, message: str,
              annotation_re: "re.Pattern[str]") -> None:
-        has_note, reason = annotation_near(lines, lineno, annotation_re)
-        if has_note and reason:
+        note_line, reason = annotation_near(lines, lineno, annotation_re)
+        if note_line and reason:
             return  # audited site
-        if has_note and not reason:
+        if note_line and not reason:
             message += " (annotation present but missing the mandatory" \
                        " reason)"
         if (lineno, rule) in seen:

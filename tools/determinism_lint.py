@@ -18,6 +18,10 @@ contract are mechanical to spot:
   pointer-key      std::{map,set,multimap,multiset} keyed by a pointer (or a
                    std::less<T*> comparator): iteration order replays the
                    allocator's address assignment, which varies run to run.
+  stale-annotation an `ordered-ok` annotation that suppresses no finding
+                   (say, above a loop whose container is no longer
+                   unordered): it claims an audit nothing needs, and would
+                   silently cover a hazard added near it later.
 
 The checker is a lexical (regex + balanced-scan) engine over the same
 patterns a clang-query AST matcher would bind: declarations and accessors
@@ -83,7 +87,7 @@ POINTER_LESS_RE = re.compile(r"\bstd\s*::\s*less\s*<\s*[\w:]+\s*\*\s*>")
 FLOAT_DECL_RE = re.compile(r"\b(?:double|float)\s+(&?\s*)?([A-Za-z_]\w*)\b")
 ANNOTATION_RE = re.compile(r"anot-lint:\s*ordered-ok(?:\s+(\S.*))?")
 
-RULES = ("unordered-iter", "float-accum", "pointer-key")
+RULES = ("unordered-iter", "float-accum", "pointer-key", "stale-annotation")
 
 
 class SymbolTable:
@@ -134,12 +138,14 @@ def lint_file(path: str, text: str, symbols: SymbolTable) -> List[Finding]:
     lines = text.splitlines()
     float_vars = collect_float_vars(code)
     findings: List[Finding] = []
+    used_annotations: Set[int] = set()
 
     def emit(lineno: int, rule: str, message: str) -> None:
-        has_note, reason = annotation_near(lines, lineno, ANNOTATION_RE)
-        if has_note and reason:
+        note_line, reason = annotation_near(lines, lineno, ANNOTATION_RE)
+        used_annotations.add(note_line)
+        if note_line and reason:
             return  # audited site
-        if has_note and not reason:
+        if note_line and not reason:
             message += " (ordered-ok annotation present but missing the" \
                        " mandatory reason)"
         findings.append(Finding(path, lineno, rule, message))
@@ -203,6 +209,20 @@ def lint_file(path: str, text: str, symbols: SymbolTable) -> List[Finding]:
                 "iteration over an unordered container: hash order is "
                 "unspecified — sort before the effects escape, or annotate "
                 "'// anot-lint: ordered-ok <reason>' after auditing",
+            )
+
+    # ---- stale annotations -----------------------------------------------
+    for lineno, line in enumerate(lines, start=1):
+        m = ANNOTATION_RE.search(line)
+        comment = line.find("//")
+        if m and 0 <= comment < m.start() and lineno not in used_annotations:
+            findings.append(
+                Finding(
+                    path,
+                    lineno,
+                    "stale-annotation",
+                    "ordered-ok annotation suppresses no finding: delete it",
+                )
             )
     return findings
 

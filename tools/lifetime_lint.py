@@ -222,8 +222,8 @@ def collect_annotated_names(code: str, lines: List[str]) -> Set[str]:
         off = label.end() if label else 0
         rest = stmt[off:]
         lineno = line_of(code, start + off + len(rest) - len(rest.lstrip()))
-        has_note, reason = annotation_near(lines, lineno, LIFETIME_OK_RE)
-        if "ANOT_LIFETIME_BOUND" in stmt or (has_note and reason):
+        note_line, reason = annotation_near(lines, lineno, LIFETIME_OK_RE)
+        if "ANOT_LIFETIME_BOUND" in stmt or (note_line and reason):
             names.add(name.replace(" ", ""))
     return names
 
@@ -236,10 +236,10 @@ def lint_file(path: str, text: str, annotated_names: Set[str]) -> List[Finding]:
 
     def emit(lineno: int, rule: str, message: str,
              annotation_re: "re.Pattern[str]") -> None:
-        has_note, reason = annotation_near(lines, lineno, annotation_re)
-        if has_note and reason:
+        note_line, reason = annotation_near(lines, lineno, annotation_re)
+        if note_line and reason:
             return  # audited site
-        if has_note and not reason:
+        if note_line and not reason:
             message += " (annotation present but missing the mandatory" \
                        " reason)"
         if (lineno, rule) in seen:

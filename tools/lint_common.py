@@ -14,8 +14,9 @@ rules and annotation tags; everything mechanical lives here:
   find_loop_body_span  extent of a loop body (braced block or statement)
   line_of              offset -> 1-based line number
   annotation_near      audited-site lookup: the flagged line or the
-                       contiguous `//` block above it; the reason capture
-                       (group 1) is mandatory for the site to pass
+                       contiguous `//` block above it; returns the
+                       annotation's line and its reason capture (group 1),
+                       which is mandatory for the site to pass
   load_files           .h/.cc/.cpp/.hpp collection with stable ordering
   Finding              one finding: path, 1-based line, rule, message
   run_fixture_selftest the shared `--self-test` driver: every
@@ -161,21 +162,22 @@ def find_loop_body_span(code: str, close_paren: int) -> Tuple[int, int]:
 
 def annotation_near(
     lines: List[str], lineno: int, annotation_re: "re.Pattern[str]"
-) -> Tuple[bool, Optional[str]]:
-    """Whether the 1-based flagged line, or the contiguous `//` comment
-    block directly above it, matches `annotation_re` (group 1 = reason);
-    returns (found, reason)."""
+) -> Tuple[int, Optional[str]]:
+    """Finds the annotation covering the 1-based flagged line: on that line
+    or in the contiguous `//` comment block directly above it, matching
+    `annotation_re` (group 1 = reason). Returns (the annotation's 1-based
+    line, reason), or (0, None) when there is none."""
     if 1 <= lineno <= len(lines):
         m = annotation_re.search(lines[lineno - 1])
         if m:
-            return True, m.group(1)
+            return lineno, m.group(1)
     idx = lineno - 2
     while 0 <= idx < len(lines) and lines[idx].strip().startswith("//"):
         m = annotation_re.search(lines[idx])
         if m:
-            return True, m.group(1)
+            return idx + 1, m.group(1)
         idx -= 1
-    return False, None
+    return 0, None
 
 
 def load_files(paths: List[str]) -> Dict[str, str]:
