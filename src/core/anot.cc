@@ -121,6 +121,7 @@ void AnoT::SetValidityThresholds(double static_threshold,
 }
 
 UpdateEffects AnoT::IngestValid(const Fact& fact) {
+  if (!options_->enable_updater) return {};
   return updater_->Ingest(fact);
 }
 
@@ -159,7 +160,7 @@ Scores AnoT::ProcessArrival(const Fact& fact, UpdateEffects* effects) {
   const bool valid = scores.static_score <= static_threshold_ &&
                      (!scores.temporal_evaluated ||
                       scores.temporal_score <= temporal_threshold_);
-  if (valid && options_->enable_updater) {
+  if (valid) {
     const UpdateEffects e = IngestValid(fact);
     if (effects != nullptr) effects->Accumulate(e);
   }

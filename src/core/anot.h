@@ -42,7 +42,8 @@ struct AnoTOptions {
   DetectorOptions detector;
   UpdaterOptions updater;
   MonitorOptions monitor;
-  /// Table 3's "remove updater module" ablation switch.
+  /// Table 3's "remove updater module" ablation switch: when false,
+  /// AnoT::IngestValid ingests nothing and returns empty UpdateEffects.
   bool enable_updater = true;
   /// When true, a refresh runs automatically once the monitor fires,
   /// executed per `refresh_mode`. (The paper disables refresh during
@@ -117,7 +118,7 @@ class AnoT {
   void SetValidityThresholds(double static_threshold,
                              double temporal_threshold);
 
-  /// Updater path for knowledge already known to be valid.
+  /// Updater path for valid knowledge; a no-op when enable_updater is off.
   UpdateEffects IngestValid(const Fact& fact);
 
   /// Rebuilds the category function and rule graph from the current

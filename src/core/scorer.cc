@@ -100,6 +100,20 @@ double Scorer::EvidenceWeight(const RuleEdge& edge,
   return 0.0;
 }
 
+void Scorer::ReadChainWindow(const Fact& fact, FactId exclude_witness,
+                             ChainWindow* window) const {
+  if (window->read_) return;
+  window->read_ = true;
+  const Timestamp tail_time = AnchorTime(fact, options_->tail_anchor);
+  ScanRecentFacts(*graph_, graph_->FactsForPair(fact.subject, fact.object),
+                  options_->head_anchor, tail_time, exclude_witness,
+                  [&](FactId id, const Fact& g, Timestamp head_time) {
+                    window->entries_[window->size_++] = {
+                        id, g.relation, tail_time - head_time};
+                    return true;
+                  });
+}
+
 std::optional<Instantiation> Scorer::TryInstantiate(
     const RuleEdge& edge, const Fact& fact, FactId exclude_witness) const {
   ChainWindow window;
@@ -109,7 +123,6 @@ std::optional<Instantiation> Scorer::TryInstantiate(
 std::optional<Instantiation> Scorer::TryInstantiate(
     const RuleEdge& edge, const Fact& fact, FactId exclude_witness,
     ChainWindow* chain_window) const {
-  const Timestamp tail_time = AnchorTime(fact, options_->tail_anchor);
   const AtomicRule& head_rule = rules_->rule(edge.head);
 
   if (edge.kind == RuleEdgeKind::kChain) {
@@ -119,22 +132,12 @@ std::optional<Instantiation> Scorer::TryInstantiate(
     if (!CategoriesMatch(head_rule, fact.subject, fact.object)) {
       return std::nullopt;
     }
-    if (!chain_window->read_) {
-      chain_window->read_ = true;
-      ScanRecentFacts(*graph_, graph_->FactsForPair(fact.subject, fact.object),
-                      options_->head_anchor, tail_time, exclude_witness,
-                      [&](FactId id, const Fact& g, Timestamp head_time) {
-                        chain_window->entries_[chain_window->size_++] = {
-                            id, g.relation, tail_time - head_time};
-                        return true;
-                      });
-    }
+    ReadChainWindow(fact, exclude_witness, chain_window);
     // Evidence is existential, so among admissible witnesses we keep the
     // one whose timespan agrees best with T(e) (minimal θ); the newest
     // wins a tie.
     std::optional<Instantiation> best;
-    for (uint32_t i = 0; i < chain_window->size_; ++i) {
-      const ChainWindow::Entry& entry = chain_window->entries_[i];
+    for (const ChainWindow::Entry& entry : *chain_window) {
       if (entry.relation != head_rule.relation) continue;
       const uint32_t agreements =
           CountAgreements(edge, entry.delta, options_->timespan_tolerance);
@@ -146,6 +149,7 @@ std::optional<Instantiation> Scorer::TryInstantiate(
   }
 
   // Triadic: prior facts (s, r_m, p) and (o, r_n, p) co-occurring within L.
+  const Timestamp tail_time = AnchorTime(fact, options_->tail_anchor);
   const AtomicRule& mid_rule = rules_->rule(edge.mid);
   const Timestamp window = options_->timespan_tolerance;
   std::optional<Instantiation> best;

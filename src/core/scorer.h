@@ -110,19 +110,23 @@ class Scorer {
   ///
   /// Every chain edge tried on the fact scans this same history; the
   /// edges differ only in the head rule they filter for and the T(e) they
-  /// count agreements against. One window is read, on the first chain
-  /// edge that needs it, and every later chain edge matches against it.
-  /// A window belongs to one (fact, exclude_witness) pair: pass it to
-  /// TryInstantiate only with the fact and exclusion it was first used
-  /// with, and only while the graph does not change.
+  /// count agreements against. ReadChainWindow, the one filler, reads a
+  /// window once; every later chain edge, and the updater's wiring, walks
+  /// its entries. A window belongs to one (fact, exclude_witness) pair:
+  /// use it only with the fact and exclusion it was read with, and only
+  /// while the graph does not change.
   class ChainWindow {
-   private:
-    friend class Scorer;
+   public:
     struct Entry {
       FactId id;
       RelationId relation;
       Timestamp delta;  // tail anchor minus head anchor
     };
+    const Entry* begin() const ANOT_LIFETIME_BOUND { return entries_.data(); }
+    const Entry* end() const ANOT_LIFETIME_BOUND { return begin() + size_; }
+
+   private:
+    friend class Scorer;
     bool read_ = false;
     uint32_t size_ = 0;
     std::array<Entry, kMaxInstantiationScan> entries_;
@@ -138,6 +142,11 @@ class Scorer {
   /// so the per-arrival mapping allocates nothing.
   small_vec<RuleId, 8> MapToRules(const Fact& fact) const;
 
+  /// Fills `window` with the chain witnesses of `fact`, `exclude_witness`
+  /// left out; does nothing once the window has been read.
+  void ReadChainWindow(const Fact& fact, FactId exclude_witness,
+                       ChainWindow* window) const;
+
   /// Tries to instantiate `edge` as a precursor of `fact`: is there
   /// concrete prior knowledge matching the edge's head (and mid) pattern
   /// that the new knowledge could follow? A chain edge reads a window of
@@ -149,7 +158,7 @@ class Scorer {
   /// Witness admissibility is decided by identity, never by value
   /// equality: a *distinct* earlier occurrence of an identical recurring
   /// fact is a real precursor and must stay admissible (the same
-  /// identity-vs-equality contract as the updater's chain-edge scan).
+  /// identity-vs-equality contract as the updater's chain-edge wiring).
   std::optional<Instantiation> TryInstantiate(
       const RuleEdge& edge, const Fact& fact,
       FactId exclude_witness = kInvalidId) const;

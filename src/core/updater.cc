@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/witness_scan.h"
 #include "mdl/encoding.h"
 #include "util/logging.h"
 
@@ -26,7 +25,7 @@ bool Updater::ShouldAdmitRule(uint32_t online_support) const {
   // Marginal MDL test: the tier-1 savings of the supporting facts must
   // exceed a conservative estimate of the rule's model cost
   // (log2 |C_E| + 2 log2 |E| + log2 |R| + 1 ≈ AtomicRuleBits upper bound).
-  const double e = std::max<double>(2.0, graph_->num_entities());
+  const double e = Tier2Universe(graph_->num_entities());
   const double r = std::max<double>(2.0, graph_->num_relations());
   const double per_fact_savings = std::log2(
       Tier1Universe(graph_->num_entities(), graph_->num_relations()));
@@ -43,7 +42,7 @@ uint32_t Updater::TouchPendingRule(const AtomicRule& rule) {
     pending_lru_.splice(pending_lru_.begin(), pending_lru_, it->second.lru);
     return ++it->second.support;
   }
-  if (pending_rules_.size() >= std::max<size_t>(1, options_.max_pending_rules)) {
+  if (pending_rules_.size() >= PendingRuleCap()) {
     const AtomicRule& coldest = pending_lru_.back();
     pending_rules_.erase(coldest);
     pending_lru_.pop_back();
@@ -61,8 +60,7 @@ void Updater::ErasePendingRule(const AtomicRule& rule) {
 }
 
 Status Updater::Validate() const {
-  if (pending_rules_.size() >
-      std::max<size_t>(1, options_.max_pending_rules)) {
+  if (pending_rules_.size() > PendingRuleCap()) {
     return Status::Internal("pending table exceeds max_pending_rules cap");
   }
   for (const auto& [rule, entry] : pending_rules_) {
@@ -122,15 +120,21 @@ UpdateEffects Updater::Ingest(const Fact& fact) {
   }
 
   // ---- Graph pattern changes (Alg. 3 lines 10-14) ---------------------------
-  const auto& subject_cats = categories_->Categories(fact.subject);
-  const auto& object_cats = categories_->Categories(fact.object);
-  for (CategoryId cs : subject_cats) {
-    for (CategoryId co : object_cats) {
+  // The graph no longer changes, so one window of the fact's chain
+  // witnesses serves both the wiring and line 15. It excludes the instance
+  // just appended by id, not distinct earlier occurrences of an identical
+  // fact: those are real precursors of a recurring pattern. `mapped`
+  // collects line 15's rule set: every rule found or admitted below.
+  Scorer::ChainWindow window;
+  small_vec<RuleId, 8> mapped;
+  for (CategoryId cs : categories_->Categories(fact.subject)) {
+    for (CategoryId co : categories_->Categories(fact.object)) {
       const AtomicRule rule{cs, fact.relation, co};
       auto existing = rules_->FindRule(rule);
       if (existing.has_value()) {
         // Known pattern: refresh its support (used by Eqs. 9-10).
         rules_->AddSupport(*existing, 1);
+        mapped.push_back(*existing);
         continue;
       }
       const uint32_t support = TouchPendingRule(rule);
@@ -138,58 +142,37 @@ UpdateEffects Updater::Ingest(const Fact& fact) {
       ErasePendingRule(rule);
       const RuleId added = rules_->AddRule(rule, /*static_selected=*/true);
       rules_->SetSupport(added, support);
+      mapped.push_back(added);
       ++effects.new_rule_nodes;
 
       // Wire chain edges from temporally close facts of the same pair
-      // (Alg. 3 lines 13-14; chain-based associations only, §4.4).
-      const Timestamp tail_time =
-          AnchorTime(fact, detector_options_->tail_anchor);
-      // The pair sequence is sorted by (start time, id), so the head gap
-      // grows monotonically along the backward scan only when the head
-      // anchor is the sort key — always true on point graphs (start ==
-      // end), and for kStart anchors on duration graphs. An end-anchored
-      // head on a duration graph is not monotone (a long-running earlier
-      // fact can end nearer the tail than a later short one), so the scan
-      // must cover the full window instead of stopping at the first
-      // out-of-tolerance gap.
-      const bool gap_monotone =
-          !graph_->has_durations() ||
-          detector_options_->head_anchor == TimeAnchor::kStart;
-      // Exclude the instance just appended by id — but not genuinely
-      // distinct earlier occurrences of an identical fact, which are real
-      // precursors of a recurring pattern.
-      ScanRecentFacts(
-          *graph_, graph_->FactsForPair(fact.subject, fact.object),
-          detector_options_->head_anchor, tail_time, added_fact,
-          [&](FactId, const Fact& prev, Timestamp head_time) {
-            if (tail_time - head_time >
-                detector_options_->timespan_tolerance) {
-              return !gap_monotone;  // older facts only get farther
-            }
-            auto head_id = rules_->FindRule(AtomicRule{cs, prev.relation, co});
-            if (!head_id.has_value()) return true;
-            RuleEdge edge;
-            edge.kind = RuleEdgeKind::kChain;
-            edge.head = *head_id;
-            edge.tail = added;
-            edge.timespans = {tail_time - head_time};
-            edge.support = 1;
-            rules_->AddEdge(edge);
-            ++effects.new_rule_edges;
-            return true;
-          });
+      // (Alg. 3 lines 13-14; chain-based associations only, §4.4). Every
+      // entry is checked: end-anchored gaps are not monotone in the window.
+      scorer_.ReadChainWindow(fact, added_fact, &window);
+      for (const Scorer::ChainWindow::Entry& prev : window) {
+        if (prev.delta > detector_options_->timespan_tolerance) continue;
+        auto head_id = rules_->FindRule(AtomicRule{cs, prev.relation, co});
+        if (!head_id.has_value()) continue;
+        RuleEdge edge;
+        edge.kind = RuleEdgeKind::kChain;
+        edge.head = *head_id;
+        edge.tail = added;
+        edge.timespans = {prev.delta};
+        edge.support = 1;
+        rules_->AddEdge(edge);
+        ++effects.new_rule_edges;
+      }
     }
   }
 
   // ---- Timespan distribution changes (Alg. 3 line 15) -----------------------
-  // The fact is already in the graph here, so exclude it from witness
-  // scans by id — value equality would also veto distinct earlier
-  // occurrences of an identical recurring fact, which are real witnesses
-  // (the same identity-vs-equality contract as the chain scan above).
-  // Every chain in-edge matches against one window of the pair history.
-  Scorer::ChainWindow window;
-  for (RuleId mapped : scorer_.MapToRules(fact)) {
-    for (RuleEdgeId in_edge : rules_->InEdges(mapped)) {
+  // Distinct (c_s, c_o) pairs name distinct rules, so sorted, `mapped` is
+  // the fact's MapToRules set. It holds the rules admitted above, so their
+  // new in-edges take their witness's span a second time (README,
+  // "documented deviations").
+  std::sort(mapped.begin(), mapped.end());
+  for (RuleId rule : mapped) {
+    for (RuleEdgeId in_edge : rules_->InEdges(rule)) {
       auto inst = scorer_.TryInstantiate(rules_->edge(in_edge), fact,
                                          added_fact, &window);
       if (!inst.has_value()) continue;

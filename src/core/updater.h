@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <list>
 
 #include "core/options.h"
@@ -42,6 +43,8 @@ struct UpdateEffects {
 ///     close facts of the same pair (graph pattern changes);
 ///  4. appends observed timespans to every in-edge the new knowledge
 ///     instantiates (timespan distribution changes).
+/// Steps 3 and 4 share one rule set (the rules step 3 finds or admits)
+/// and one Scorer::ChainWindow of the fact's pair history.
 class Updater {
  public:
   Updater(TemporalKnowledgeGraph* graph, CategoryFunction* categories,
@@ -73,6 +76,11 @@ class Updater {
 
   /// Marginal MDL admission test for a recurring unseen pattern.
   bool ShouldAdmitRule(uint32_t online_support) const;
+
+  /// The pending table's cap: max_pending_rules, at least one entry.
+  size_t PendingRuleCap() const {
+    return std::max<size_t>(1, options_.max_pending_rules);
+  }
 
   /// Bumps (or opens) the pending-support entry for `rule` and returns the
   /// new support count, evicting the least-recently-touched entry when the

@@ -11,8 +11,8 @@
 namespace anot {
 
 /// Scan cap on each backward walk over a fact's recent history: the
-/// scorer's witness and out-edge scans, the updater's chain-edge wiring
-/// and triadic candidate generation (keeps scoring O(f_max), §4.6).
+/// scorer's chain window, triadic and out-edge scans, and triadic
+/// candidate generation (keeps scoring O(f_max), §4.6).
 inline constexpr size_t kMaxInstantiationScan = 64;
 
 /// \brief Walks the ids [begin, end) of a time-sorted index sequence

@@ -33,7 +33,7 @@ class AnoTModel : public AnomalyModel {
   }
 
   void ObserveValid(const Fact& fact) override {
-    if (options_.enable_updater) system_->IngestValid(fact);
+    system_->IngestValid(fact);
   }
 
   const AnoT& system() const ANOT_LIFETIME_BOUND { return *system_; }
@@ -64,7 +64,7 @@ class DurationAnoTModel : public AnomalyModel {
   }
 
   void ObserveValid(const Fact& fact) override {
-    if (options_.enable_updater) system_->IngestValid(fact);
+    system_->IngestValid(fact);
   }
 
   const DurationAnoT& system() const ANOT_LIFETIME_BOUND {

@@ -6,7 +6,6 @@
 #include "mining/prefixspan.h"
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace anot {
 
@@ -40,19 +39,13 @@ CategoryFunction CategoryFunction::Build(
     return cancel != nullptr && cancel->load(std::memory_order_relaxed);
   };
 
-  // 1. Transactions: each entity's directed relation token set. Entities
-  // are independent, so the token pass shards trivially.
+  // 1. Transactions: each entity's directed relation token set, already
+  // ascending (a sorted_small_set).
   std::vector<std::vector<uint32_t>> transactions(graph.num_entities());
-  ParallelForShards(workers, graph.num_entities(),
-                    DeterministicShardCount(graph.num_entities()),
-                    [&](size_t /*shard*/, size_t begin, size_t end) {
-    for (EntityId e = static_cast<EntityId>(begin);
-         e < static_cast<EntityId>(end); ++e) {
-      const auto& tokens = graph.RelationTokens(e);
-      transactions[e].assign(tokens.begin(), tokens.end());
-      std::sort(transactions[e].begin(), transactions[e].end());
-    }
-  });
+  for (EntityId e = 0; e < graph.num_entities(); ++e) {
+    const auto& tokens = graph.RelationTokens(e);
+    transactions[e].assign(tokens.begin(), tokens.end());
+  }
 
   if (cancelled()) return fn;
 

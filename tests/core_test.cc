@@ -1262,6 +1262,166 @@ TEST(UpdaterDurationTest, EndAnchoredChainScanCoversFullWindow) {
       << "end-anchored scan stopped at the first out-of-tolerance start";
 }
 
+/// What one seeded stream grew: the fingerprint of the rule graph and the
+/// updater state, and how many rule-admitting ingests met an in-tolerance
+/// pair fact behind an out-of-tolerance one along the newest-first scan.
+struct StreamGrowth {
+  uint64_t fingerprint = 0;
+  uint32_t admitting_ingests = 0;
+  uint32_t late_in_tolerance = 0;
+};
+
+/// Ingests a seeded stream through the Updater and fingerprints the grown
+/// rule graph (every rule's key, support and static flag; every edge's
+/// kind, endpoints, timespans and support), the pending-rule count and
+/// the summed UpdateEffects. Entity e belongs to group e / 4, whose
+/// subjects use relations {2g, 2g + 1}. The initial rule graph holds
+/// every (C_s, r, C_o) rule of an even relation and two chain in-edges
+/// per rule, so the stream's odd-relation patterns are admitted online
+/// and wired. One arrival in 20 takes a random relation, which can grow
+/// the category function. With `durations` facts run up to 30 ticks and
+/// the head anchors at the end.
+StreamGrowth GrowRuleGraphFromStream(uint64_t seed, bool durations) {
+  std::mt19937_64 rng(seed);
+  const auto uniform = [&](int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+  };
+  constexpr EntityId kEntities = 16;
+  constexpr RelationId kRelations = 8;
+  constexpr Timestamp kTolerance = 5;
+  const auto group_relation = [&](EntityId s) {
+    return static_cast<RelationId>(2 * (s / 4) + uniform(0, 1));
+  };
+  const auto make = [&](EntityId s, RelationId r, EntityId o, Timestamp t) {
+    return Fact(s, r, o, t, durations ? t + uniform(0, 30) : t);
+  };
+  TemporalKnowledgeGraph graph;
+  for (EntityId e = 0; e < kEntities; ++e) {
+    for (RelationId r = 2 * (e / 4); r < 2 * (e / 4) + 2; ++r) {
+      graph.AddFact(make(e, r, (e + 1 + r) % kEntities, uniform(0, 199)));
+    }
+  }
+  std::vector<std::pair<EntityId, EntityId>> pairs;
+  while (pairs.size() < 8) {
+    const auto s = static_cast<EntityId>(uniform(0, kEntities - 1));
+    const auto o = static_cast<EntityId>(uniform(0, kEntities - 1));
+    if (s != o) pairs.emplace_back(s, o);
+  }
+  for (int i = 0; i < 200; ++i) {
+    const auto [s, o] = pairs[static_cast<size_t>(uniform(0, 7))];
+    graph.AddFact(make(s, group_relation(s), o, uniform(0, 199)));
+  }
+  CategoryFunctionOptions copts;
+  copts.min_support = 3;
+  CategoryFunction categories = CategoryFunction::Build(graph, copts);
+  const auto ncat = static_cast<CategoryId>(categories.num_categories());
+
+  RuleGraph rules;
+  for (CategoryId cs = 0; cs < ncat; ++cs) {
+    for (RelationId r = 0; r < kRelations; r += 2) {
+      for (CategoryId co = 0; co < ncat; ++co) {
+        rules.SetSupport(rules.AddRule(AtomicRule{cs, r, co}, true), 4);
+      }
+    }
+  }
+  const auto initial_rules = static_cast<RuleId>(rules.num_rules());
+  for (RuleId tail = 0; tail < initial_rules; ++tail) {
+    for (int k = 0; k < 2; ++k) {
+      RuleEdge edge;
+      edge.kind = RuleEdgeKind::kChain;
+      edge.head = static_cast<RuleId>(uniform(0, initial_rules - 1));
+      edge.tail = tail;
+      edge.timespans = {uniform(0, 2 * kTolerance)};
+      edge.support = 1;
+      rules.AddEdge(edge);
+    }
+  }
+
+  DetectorOptions dopts;
+  dopts.timespan_tolerance = kTolerance;
+  if (durations) dopts.head_anchor = TimeAnchor::kEnd;
+  Updater updater(&graph, &categories, &rules, &dopts, UpdaterOptions{});
+  StreamGrowth out;
+  UpdateEffects total;
+  for (int i = 0; i < 600; ++i) {
+    const auto [s, o] = pairs[static_cast<size_t>(uniform(0, 7))];
+    const RelationId r =
+        uniform(0, 19) == 0
+            ? static_cast<RelationId>(uniform(0, kRelations - 1))
+            : group_relation(s);
+    const Fact fact = make(s, r, o, 200 + i / 2 + uniform(0, 3));
+    const UpdateEffects effects = updater.Ingest(fact);
+    total.Accumulate(effects);
+    if (effects.new_rule_nodes == 0) continue;
+    ++out.admitting_ingests;
+    // The pair history as the ingest read it, the new fact excluded.
+    const Timestamp tail_time = AnchorTime(fact, dopts.tail_anchor);
+    bool beyond = false;
+    bool late = false;
+    ScanRecentFacts(graph, graph.FactsForPair(s, o), dopts.head_anchor,
+                    tail_time, static_cast<FactId>(graph.num_facts() - 1),
+                    [&](FactId, const Fact&, Timestamp head_time) {
+                      const bool within = tail_time - head_time <= kTolerance;
+                      late = late || (beyond && within);
+                      beyond = beyond || !within;
+                      return true;
+                    });
+    out.late_in_tolerance += late;
+  }
+  EXPECT_TRUE(updater.Validate().ok());
+  EXPECT_TRUE(rules.Validate().ok());
+
+  Fingerprint fp;
+  fp.Mix(rules.num_rules());
+  for (RuleId r = 0; r < rules.num_rules(); ++r) {
+    fp.Mix(rules.rule(r).subject_category);
+    fp.Mix(rules.rule(r).relation);
+    fp.Mix(rules.rule(r).object_category);
+    fp.Mix(rules.support(r));
+    fp.Mix(rules.static_selected(r));
+  }
+  fp.Mix(rules.num_edges());
+  for (RuleEdgeId e = 0; e < rules.num_edges(); ++e) {
+    const RuleEdge& edge = rules.edge(e);
+    fp.Mix(static_cast<uint64_t>(edge.kind));
+    fp.Mix(edge.head);
+    fp.Mix(edge.mid);
+    fp.Mix(edge.tail);
+    fp.Mix(edge.timespans.size());
+    for (Timestamp t : edge.timespans) fp.Mix(static_cast<uint64_t>(t));
+    fp.Mix(edge.support);
+  }
+  fp.Mix(updater.pending_rule_count());
+  fp.Mix(total.new_entity_categories);
+  fp.Mix(total.new_rule_nodes);
+  fp.Mix(total.new_rule_edges);
+  fp.Mix(total.timespans_recorded);
+  fp.Mix(total.facts_ingested);
+  out.fingerprint = fp.value();
+  return out;
+}
+
+// Golden pins of online rule-graph growth (Alg. 3): admissions, chain
+// wiring, timespan recording and category growth, bit for bit. On the
+// point world (76 admitting ingests) the head gap grows along the scan;
+// on the end-anchored duration world 28 of 63 admitting ingests meet an
+// in-tolerance pair fact behind an out-of-tolerance one, which the chain
+// wiring must still reach.
+TEST(UpdaterGoldenTest, StreamGrownRuleGraphOnPoints) {
+  const StreamGrowth grown = GrowRuleGraphFromStream(5, false);
+  EXPECT_GT(grown.admitting_ingests, 0u);
+  EXPECT_EQ(grown.late_in_tolerance, 0u) << "point gaps are monotone";
+  EXPECT_EQ(grown.fingerprint, 0x086b8652f78cdab9ULL);
+}
+
+TEST(UpdaterGoldenTest, StreamGrownRuleGraphOnEndAnchoredDurations) {
+  const StreamGrowth grown = GrowRuleGraphFromStream(6, true);
+  EXPECT_GT(grown.late_in_tolerance, 0u)
+      << "no admitting ingest met an in-tolerance fact behind an "
+         "out-of-tolerance one";
+  EXPECT_EQ(grown.fingerprint, 0x85b0f26cf68cea2aULL);
+}
+
 TEST_F(CoreFixture, PendingRuleTableStaysBounded) {
   // A hostile stream minting a fresh, never-repeating pattern per arrival
   // must not grow the pending-candidate table without bound.
@@ -1280,6 +1440,24 @@ TEST_F(CoreFixture, PendingRuleTableStaysBounded) {
     ASSERT_LE(local.updater().pending_rule_count(), 64u) << "arrival " << i;
   }
   EXPECT_GT(local.updater().pending_rule_count(), 0u);
+}
+
+TEST_F(CoreFixture, IngestValidIsANoOpWithTheUpdaterOff) {
+  // Table 3's ablation switch is checked inside IngestValid, so direct
+  // callers, ProcessArrival and the eval adapters all see it.
+  AnoTOptions options;
+  options.detector = TestDetectorOptions();
+  options.enable_updater = false;
+  AnoT local = AnoT::Build(*train_, options);
+  const size_t facts = local.graph().num_facts();
+  const Fact fact = graph_->fact(split_->val.front());
+  EXPECT_EQ(local.IngestValid(fact).facts_ingested, 0u);
+  const double inf = std::numeric_limits<double>::infinity();
+  local.SetValidityThresholds(inf, inf);
+  UpdateEffects effects;
+  local.ProcessArrival(fact, &effects);
+  EXPECT_EQ(effects.facts_ingested, 0u);
+  EXPECT_EQ(local.graph().num_facts(), facts);
 }
 
 TEST_F(CoreFixture, UpdaterImprovesScoresOnNewPatterns) {
