@@ -453,8 +453,6 @@ void BM_RefreshStall(benchmark::State& state) {
   auto train = Subgraph(SharedGraph(), split.train);
   AnoTOptions options;
   options.detector.timespan_tolerance = 10;
-  options.refresh_mode =
-      async ? RefreshMode::kAsynchronous : RefreshMode::kSynchronous;
   AnoT system = AnoT::Build(*train, options);
 
   const size_t kArrivals = 256;

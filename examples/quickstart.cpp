@@ -50,7 +50,7 @@ int main() {
   Explainer explainer = anot.MakeExplainer();
   auto inspect = [&](const char* label, const Fact& fact) {
     Evidence evidence;
-    const Scores s = anot.ScoreWithEvidence(fact, &evidence);
+    const Scores s = anot.Score(fact, &evidence);
     std::printf("--- %s ---\n", label);
     std::printf("%s", explainer.RenderEvidence(fact, evidence).c_str());
     std::printf("static score %.4g | temporal score %.4g\n\n",

@@ -42,6 +42,16 @@ struct AnoT::AsyncRefresh {
   std::atomic<bool> ready{false};
   std::thread worker;
 
+  /// One Observe call made after the snapshot: the monitor handoff the
+  /// swap replays into the fresh monitor, so the in-flight accounting
+  /// window is not lost. Serving-thread only; the worker never reads it.
+  struct Observation {
+    Timestamp time = kNoTimestamp;
+    bool mapped = false;
+    bool associated = false;
+  };
+  std::vector<Observation> observations;
+
   ~AsyncRefresh() {
     cancel.store(true, std::memory_order_relaxed);
     if (worker.joinable()) worker.join();
@@ -91,13 +101,15 @@ AnoT::BuiltStructures AnoT::BuildStructures(
 }
 
 void AnoT::Rebuild() {
-  BuiltStructures built = BuildStructures(*graph_, *options_,
-                                         /*cancel=*/nullptr);
+  Adopt(BuildStructures(*graph_, *options_, /*cancel=*/nullptr));
+}
+
+void AnoT::Adopt(BuiltStructures built) {
   categories_ = std::move(built.categories);
   rules_ = std::move(built.rules);
   report_ = built.report;
   RecreateServingObjects();
-  monitor_ = std::make_unique<Monitor>(report_, options_->monitor);
+  monitor_ = std::make_unique<Monitor>(report_);
 }
 
 void AnoT::RecreateServingObjects() {
@@ -108,9 +120,7 @@ void AnoT::RecreateServingObjects() {
                                        options_->updater);
 }
 
-Scores AnoT::Score(const Fact& fact) const { return scorer_->Score(fact); }
-
-Scores AnoT::ScoreWithEvidence(const Fact& fact, Evidence* evidence) const {
+Scores AnoT::Score(const Fact& fact, Evidence* evidence) const {
   return scorer_->Score(fact, evidence);
 }
 
@@ -154,8 +164,7 @@ Scores AnoT::ProcessArrival(const Fact& fact, UpdateEffects* effects) {
   const bool mapped = scores.static_support > 0.0;
   monitor_->Observe(fact.time, mapped, scores.associated);
   if (async_ != nullptr) {
-    refresh_replay_observations_.push_back(
-        MonitorObservation{fact.time, mapped, scores.associated});
+    async_->observations.push_back({fact.time, mapped, scores.associated});
   }
   const bool valid = scores.static_score <= static_threshold_ &&
                      (!scores.temporal_evaluated ||
@@ -164,21 +173,14 @@ Scores AnoT::ProcessArrival(const Fact& fact, UpdateEffects* effects) {
     const UpdateEffects e = IngestValid(fact);
     if (effects != nullptr) effects->Accumulate(e);
   }
-  if (options_->auto_refresh && monitor_->ShouldRefresh()) {
-    // Requests coalesce while one background build is in flight.
-    if (options_->refresh_mode == RefreshMode::kAsynchronous) {
-      RefreshAsync();
-    } else {
-      Refresh();
-    }
-  }
+  if (options_->auto_refresh && monitor_->ShouldRefresh()) Refresh();
   // Swap in a staged background build at this commit boundary.
   MaybeCompleteRefresh();
   return scores;
 }
 
 void AnoT::Refresh() {
-  AbandonRefresh();
+  async_.reset();  // abandons any in-flight build: cancels and joins it
   ++refresh_count_;
   Rebuild();
 }
@@ -187,7 +189,6 @@ void AnoT::RefreshAsync() {
   if (async_ != nullptr) return;  // coalesce: already in flight or staged
   async_ = std::make_unique<AsyncRefresh>();
   async_->snapshot = std::make_unique<TemporalKnowledgeGraph>(*graph_);
-  refresh_replay_observations_.clear();
   // The worker owns only the heap-held AsyncRefresh (stable across moves
   // of this AnoT) and a copy of the options.
   AsyncRefresh* state = async_.get();
@@ -235,13 +236,9 @@ void AnoT::CompleteRefresh() {
   // Updater::Ingest always appends, and it is the graph's only mutator
   // while a refresh is in flight.
   const std::unique_ptr<TemporalKnowledgeGraph> served = std::move(graph_);
-  graph_ = std::move(async_->snapshot);
-  categories_ = std::move(async_->built.categories);
-  rules_ = std::move(async_->built.rules);
-  report_ = async_->built.report;
-  async_.reset();
-  RecreateServingObjects();
-  monitor_ = std::make_unique<Monitor>(report_, options_->monitor);
+  const std::unique_ptr<AsyncRefresh> done = std::move(async_);
+  graph_ = std::move(done->snapshot);
+  Adopt(std::move(done->built));
   // 2. Replay that suffix through the fresh updater (its serving-time
   // UpdateEffects were already reported; the replay's are bookkeeping
   // against the new state and are discarded). Each fact is read from the
@@ -252,15 +249,10 @@ void AnoT::CompleteRefresh() {
   }
   // 3. Replay the observation window into the fresh monitor so the
   // in-flight bucket accounting is not lost across the swap.
-  monitor_->Replay(refresh_replay_observations_);
-  refresh_replay_observations_.clear();
+  for (const AsyncRefresh::Observation& o : done->observations) {
+    monitor_->Observe(o.time, o.mapped, o.associated);
+  }
   ++refresh_count_;
-}
-
-void AnoT::AbandonRefresh() {
-  if (async_ == nullptr) return;
-  async_.reset();  // cancels and joins the worker
-  refresh_replay_observations_.clear();
 }
 
 Explainer AnoT::MakeExplainer() const {

@@ -23,34 +23,19 @@ namespace anot {
 
 class Checkpoint;
 
-/// \brief How a monitor-triggered refresh executes (§4.5 rebuild).
-enum class RefreshMode {
-  /// Rebuild inline on the serving thread. The paper's semantics: every
-  /// refresh stalls arrivals for one full offline build.
-  kSynchronous,
-  /// Double-buffered: snapshot the grown TKG, rebuild on a background
-  /// thread while the old scorer keeps serving, swap at the next commit
-  /// boundary and replay the facts ingested since the snapshot. The
-  /// post-swap state is bit-identical to a synchronous Refresh() at the
-  /// snapshot point followed by the same ingests (see Refresh contract
-  /// below).
-  kAsynchronous,
-};
-
 /// \brief Top-level AnoT configuration.
 struct AnoTOptions {
   DetectorOptions detector;
   UpdaterOptions updater;
-  MonitorOptions monitor;
   /// Table 3's "remove updater module" ablation switch: when false,
   /// AnoT::IngestValid ingests nothing and returns empty UpdateEffects.
   bool enable_updater = true;
-  /// When true, a refresh runs automatically once the monitor fires,
-  /// executed per `refresh_mode`. (The paper disables refresh during
-  /// evaluation for fairness, §5.2.)
+  /// When true, ProcessArrival runs the synchronous Refresh() once the
+  /// monitor fires (the paper's semantics: the rebuild stalls that
+  /// arrival). A caller that wants the double-buffered rebuild leaves this
+  /// off and calls RefreshAsync() itself. (The paper disables refresh
+  /// during evaluation for fairness, §5.2.)
   bool auto_refresh = false;
-  /// Execution mode of monitor-triggered refreshes.
-  RefreshMode refresh_mode = RefreshMode::kSynchronous;
   /// Worker threads for the offline construction pipeline (category
   /// function passes, candidate costing, duration views) *and* batched
   /// scoring (ScoreBatch); candidate generation is serial. 0 = one worker
@@ -64,10 +49,8 @@ struct AnoTOptions {
   void Fields(V& v) {
     detector.Fields(v);
     updater.Fields(v);
-    monitor.Fields(v);
     v(enable_updater);
     v(auto_refresh);
-    v(refresh_mode, RefreshMode::kAsynchronous);
     v(num_threads, size_t{4096});
   }
 };
@@ -79,7 +62,7 @@ struct AnoTOptions {
 ///   Scores s = anot.Score(fact);                 // detector
 ///   if (s.static_score < thr_s && s.temporal_score < thr_t)
 ///     anot.IngestValid(fact);                    // updater + monitor
-///   if (anot.monitor().ShouldRefresh()) anot.Refresh();
+///   if (anot.monitor().ShouldRefresh()) anot.Refresh();  // or RefreshAsync()
 ///
 /// The instance owns a private copy of the TKG that grows as knowledge is
 /// ingested; the caller's offline graph is never mutated.
@@ -95,9 +78,9 @@ class AnoT {
   /// Cancels and joins any in-flight background rebuild.
   ~AnoT();
 
-  /// Detector: Algorithm 2. Does not mutate state.
-  Scores Score(const Fact& fact) const;
-  Scores ScoreWithEvidence(const Fact& fact, Evidence* evidence) const;
+  /// Detector: Algorithm 2. Does not mutate state. When `evidence` is
+  /// non-null it is filled with the interpretable byproduct (§4.3.4).
+  Scores Score(const Fact& fact, Evidence* evidence = nullptr) const;
 
   /// Batched detector: scores `facts` concurrently on the serving pool
   /// (scoring is const over graph/categories/rules) and commits results
@@ -108,7 +91,8 @@ class AnoT {
 
   /// Full online step: scores, feeds the monitor, and — when the scores
   /// clear the validity thresholds and the updater is enabled — ingests
-  /// the knowledge (Algorithm 3). Returns the scores. When `effects` is
+  /// the knowledge (Algorithm 3). With auto_refresh on, a monitor that
+  /// fires then triggers Refresh(). Returns the scores. When `effects` is
   /// non-null, the ingest's counters are *accumulated* into it.
   Scores ProcessArrival(const Fact& fact, UpdateEffects* effects = nullptr);
 
@@ -133,7 +117,13 @@ class AnoT {
   // keeps serving. Facts ingested after the snapshot are appended to the
   // served graph as usual; monitor observations after the snapshot are
   // logged. Once the build is ready, the next ProcessArrival commit
-  // boundary (or FinishRefresh) performs the swap:
+  // boundary (or FinishRefresh) performs the swap. The monitor never
+  // starts one by itself; a caller that serves through rebuilds writes
+  //
+  //   anot.ProcessArrival(fact);
+  //   if (anot.monitor().ShouldRefresh()) anot.RefreshAsync();
+  //
+  // The swap:
   //
   //   1. adopt the rebuilt structures (built from the snapshot),
   //   2. replay the served graph's facts past the snapshot through a fresh
@@ -228,7 +218,11 @@ class AnoT {
                                          const AnoTOptions& options,
                                          const std::atomic<bool>* cancel);
 
+  /// Builds from the served graph and adopts the result.
   void Rebuild();
+  /// Installs built structures: recreates the scorer and updater against
+  /// them and resets the monitor to their budget.
+  void Adopt(BuiltStructures built);
   /// Recreates scorer_ and updater_ against the current structures.
   void RecreateServingObjects();
 
@@ -238,9 +232,6 @@ class AnoT {
   /// the snapshot (see the determinism contract above). Requires a ready
   /// staged build.
   void CompleteRefresh();
-  /// Cancels and discards any in-flight background build and its
-  /// observation log.
-  void AbandonRefresh();
 
   /// Lazily created worker pool for batched scoring; nullptr while the
   /// configured thread count resolves to 1. Mutable because scoring is
@@ -263,14 +254,12 @@ class AnoT {
   mutable std::unique_ptr<ThreadPool> serving_pool_;
 
   /// In-flight double-buffered rebuild (heap-held so the background
-  /// thread's pointer survives moves of the AnoT object); nullptr when no
-  /// refresh is in flight. Defined in anot.cc; its destructor cancels and
-  /// joins the worker.
+  /// thread's pointer survives moves of the AnoT object), with the monitor
+  /// observations logged since its snapshot; nullptr when no refresh is
+  /// in flight. Defined in anot.cc; its destructor cancels and joins the
+  /// worker, so resetting it abandons the build and its log.
   struct AsyncRefresh;
   std::unique_ptr<AsyncRefresh> async_;
-  /// Monitor observations since the snapshot — replayed into the reset
-  /// monitor at the swap. Serving-thread only.
-  std::vector<MonitorObservation> refresh_replay_observations_;
 
   BuildReport report_;
   double static_threshold_ = 1.0;

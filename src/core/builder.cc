@@ -126,7 +126,6 @@ RuleGraphBuilder::Output RuleGraphBuilder::Build(
   for (const auto& [t, ids] : graph_.by_time()) {
     ledger.SetTimestampTotal(t, static_cast<uint32_t>(ids.size()));
   }
-  report.num_train_timestamps = graph_.num_timestamps();
   const double per_fact_tier1 = std::log2(tier1);
 
   // ---- Ranking (Algorithm 1 lines 5-6) ------------------------------------

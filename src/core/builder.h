@@ -40,7 +40,6 @@ struct BuildReport {
   double model_bits = 0.0;       // L(M)
   double assertion_bits = 0.0;   // L(A_G)
   double negative_bits = 0.0;    // L(N_G) — the monitor's budget
-  size_t num_train_timestamps = 0;
   /// The Eq. 8 universes (mdl/encoding.h) L(N_G) was priced with; the
   /// monitor prices unseen knowledge with the same two.
   double tier1_universe = 0.0;
@@ -68,7 +67,6 @@ struct BuildReport {
     v(model_bits);
     v(assertion_bits);
     v(negative_bits);
-    v(num_train_timestamps);
     v(tier1_universe);
     v(tier2_universe);
   }

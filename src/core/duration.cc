@@ -128,6 +128,7 @@ Scores DurationAnoT::Score(const Fact& fact) const {
     total.temporal_score += s.temporal_score;
     total.static_support += s.static_support;
     total.temporal_support += s.temporal_support;
+    total.temporal_conflict += s.temporal_conflict;
     total.out_violations += s.out_violations;
     total.associated = total.associated || s.associated;
     evaluated += s.temporal_evaluated ? 1 : 0;
@@ -137,6 +138,7 @@ Scores DurationAnoT::Score(const Fact& fact) const {
   total.temporal_score /= n;
   total.static_support /= n;
   total.temporal_support /= n;
+  total.temporal_conflict /= n;
   total.temporal_evaluated = evaluated > 0;
   return total;
 }

@@ -35,7 +35,9 @@ class DurationAnoT {
                             DurationStrategy strategy =
                                 DurationStrategy::kFourGraphs);
 
-  /// Averaged scores across the strategy's views.
+  /// Scores across the strategy's views: every double field is the views'
+  /// mean, `out_violations` their sum, `temporal_evaluated` and
+  /// `associated` true when any view's is.
   Scores Score(const Fact& fact) const;
 
   /// Feeds valid knowledge to every view's updater.

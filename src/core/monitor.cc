@@ -8,10 +8,8 @@
 
 namespace anot {
 
-Monitor::Monitor(const BuildReport& report, const MonitorOptions& options)
-    : options_(options),
-      training_bits_(report.negative_bits),
-      training_timestamps_(report.num_train_timestamps),
+Monitor::Monitor(const BuildReport& report)
+    : training_bits_(report.negative_bits),
       tier1_universe_(report.tier1_universe),
       tier2_universe_(report.tier2_universe) {}
 
@@ -23,7 +21,6 @@ double Monitor::BucketBits() const {
 void Monitor::CloseBucket() {
   if (!bucket_open_) return;
   online_bits_ += BucketBits();
-  ++online_timestamps_;
   bucket_open_ = false;
   bucket_total_ = bucket_mapped_ = bucket_associated_ = 0;
 }
@@ -39,34 +36,10 @@ void Monitor::Observe(Timestamp t, bool mapped, bool associated) {
 
 void Monitor::Flush() { CloseBucket(); }
 
-void Monitor::Replay(const std::vector<MonitorObservation>& observations) {
-  for (const MonitorObservation& o : observations) {
-    Observe(o.time, o.mapped, o.associated);
-  }
-}
-
 bool Monitor::ShouldRefresh() const {
-  double pending = online_bits_;
-  size_t pending_ts = online_timestamps_;
-  if (bucket_open_) {
-    pending += BucketBits();
-    ++pending_ts;
-  }
-  switch (options_.mode) {
-    case MonitorOptions::Mode::kTotalBudget:
-      // Eq. 11 as printed: refresh once unseen data costs more than the
-      // training data did.
-      return pending > training_bits_;
-    case MonitorOptions::Mode::kPerTimestamp: {
-      if (pending_ts == 0 || training_timestamps_ == 0) return false;
-      const double online_mean =
-          pending / static_cast<double>(pending_ts);
-      const double train_mean =
-          training_bits_ / static_cast<double>(training_timestamps_);
-      return online_mean > train_mean * options_.slack;
-    }
-  }
-  return false;
+  const double pending = bucket_open_ ? online_bits_ + BucketBits()
+                                      : online_bits_;
+  return pending > training_bits_;
 }
 
 Status Monitor::Validate() const {

@@ -104,25 +104,4 @@ struct UpdaterOptions {
   }
 };
 
-/// \brief Monitor knobs (§4.5; Eq. 11).
-struct MonitorOptions {
-  enum class Mode {
-    /// Paper: refresh when accumulated unseen negative cost exceeds the
-    /// training negative cost.
-    kTotalBudget,
-    /// Normalized: refresh when the mean per-timestamp unseen cost exceeds
-    /// the training mean by `slack`.
-    kPerTimestamp,
-  };
-  Mode mode = Mode::kTotalBudget;
-  double slack = 1.0;
-
-  /// The persisted field list, in checkpoint order (io/checkpoint.cc).
-  template <class V>
-  void Fields(V& v) {
-    v(mode, Mode::kPerTimestamp);
-    v(slack);
-  }
-};
-
 }  // namespace anot

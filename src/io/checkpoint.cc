@@ -374,12 +374,11 @@ struct Checkpoint::Codec {
   // -- section 6: monitor ---------------------------------------------------
 
   /// The monitor's persisted scalars: the online accumulation and the open
-  /// bucket. Its budget, timestamp count and universes are the report's,
-  /// which is decoded first.
+  /// bucket. Its budget and universes are the report's, which is decoded
+  /// first.
   template <class M, class V>
   static void MonitorFields(M& m, V& v) {
     v(m.online_bits_);
-    v(m.online_timestamps_);
     v(m.bucket_open_);
     v(m.bucket_time_);
     v(m.bucket_total_);
@@ -392,7 +391,7 @@ struct Checkpoint::Codec {
   }
 
   static Status DecodeMonitor(ByteReader& in, AnoT& s) {
-    s.monitor_ = std::make_unique<Monitor>(s.report_, s.options_->monitor);
+    s.monitor_ = std::make_unique<Monitor>(s.report_);
     MonitorFields(*s.monitor_, in);
     ANOT_RETURN_NOT_OK(in.status());
     return s.monitor_->Validate();

@@ -347,9 +347,7 @@ TEST(CheckpointCapTest, MiningCapCountersRoundTripWhereTheCapBinds) {
 // ------------------------------------------------------- refresh quiesce
 
 TEST_F(CheckpointFixture, SaveDuringInFlightRefreshIsFailedPrecondition) {
-  AnoTOptions options = CheckpointOptions(2);
-  options.refresh_mode = RefreshMode::kAsynchronous;
-  AnoT system = AnoT::Build(*train_, options);
+  AnoT system = AnoT::Build(*train_, CheckpointOptions(2));
   const size_t n = std::min<size_t>(50, stream_->size());
   for (size_t i = 0; i < n; ++i) system.ProcessArrival((*stream_)[i]);
 
@@ -488,7 +486,8 @@ size_t FirstMultiTokenCategory(const std::string& b, size_t payload) {
 }
 
 /// Fields visitor summing the encoded widths of the fields before
-/// `target` (integers and doubles are stored at their own width).
+/// `target`: a bounded enum is stored as one byte, every other field
+/// (integers and doubles, bounded or not) at its own width.
 struct FieldOffset {
   // anot-own: points into the struct whose Fields list is walked, which
   // outlives the walk.
@@ -499,10 +498,32 @@ struct FieldOffset {
   template <class U>
   void operator()(U& x) {
     static_assert(std::is_arithmetic_v<U>, "stored at its own width");
-    if (&x == target) found = true;
-    if (!found) bytes += sizeof(U);
+    Count(&x, sizeof(U));
+  }
+  template <class U>
+  void operator()(U& x, U /*max*/) {
+    Count(&x, std::is_enum_v<U> ? 1 : sizeof(U));
+  }
+
+ private:
+  void Count(const void* field, size_t width) {
+    if (field == target) found = true;
+    if (!found) bytes += width;
   }
 };
+
+/// Offset of AnoTOptions field `field` (reached from the options root)
+/// inside the options section's payload, found by name through
+/// AnoTOptions::Fields, so a field added to the tree cannot retarget a row.
+template <class Get>
+size_t OptionsFieldOffset(Get field) {
+  AnoTOptions options;
+  FieldOffset offset;
+  offset.target = &field(options);
+  options.Fields(offset);
+  EXPECT_TRUE(offset.found) << "field not in AnoTOptions::Fields";
+  return offset.bytes;
+}
 
 /// Offset of BuildReport field `field` inside the report section's
 /// payload, found by name through BuildReport::Fields, so a field appended
@@ -530,9 +551,19 @@ struct SectionCorruption {
 
 const SectionCorruption kSectionCorruptions[] = {
     {"options enum out of range", 1,
-     [](std::string* b, size_t payload, uint64_t len) {
-       // refresh_mode is the byte before the trailing u64 num_threads.
-       (*b)[payload + len - 9] = 2;
+     [](std::string* b, size_t payload, uint64_t) {
+       // TimeAnchor has two enumerators, kStart = 0 and kEnd = 1.
+       (*b)[payload + OptionsFieldOffset([](AnoTOptions& o) -> auto& {
+              return o.detector.tail_anchor;
+            })] = 2;
+     },
+     "out of range"},
+    {"options thread count out of range", 1,
+     [](std::string* b, size_t payload, uint64_t) {
+       WriteU64At(b, payload + OptionsFieldOffset([](AnoTOptions& o) -> auto& {
+                       return o.num_threads;
+                     }),
+                  4097);
      },
      "out of range"},
     {"fact naming an unknown entity", 2,

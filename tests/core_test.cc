@@ -494,7 +494,7 @@ TEST_F(CoreFixture, EvidenceIsPopulated) {
   // A valid test fact should map to rules and usually find precursors.
   Evidence evidence;
   const Fact& f = graph_->fact(split_->test[split_->test.size() / 2]);
-  const Scores s = anot_->ScoreWithEvidence(f, &evidence);
+  const Scores s = anot_->Score(f, &evidence);
   if (s.static_support > 0) {
     EXPECT_FALSE(evidence.mapped.empty());
   }
@@ -1481,22 +1481,18 @@ TEST_F(CoreFixture, UpdaterImprovesScoresOnNewPatterns) {
 
 // ---------------------------------------------------------------- Monitor
 
-/// A build report holding only what a monitor reads: the budget, its
-/// timestamp count and fixed universes U1 = 1e8, U2 = 1e3.
-BuildReport MonitorBudget(double negative_bits, size_t timestamps) {
+/// A build report holding only what a monitor reads: the budget and
+/// fixed universes U1 = 1e8, U2 = 1e3.
+BuildReport MonitorBudget(double negative_bits) {
   BuildReport report;
   report.negative_bits = negative_bits;
-  report.num_train_timestamps = timestamps;
   report.tier1_universe = 1e8;
   report.tier2_universe = 1e3;
   return report;
 }
 
 TEST(MonitorTest, RefreshFiresWhenBudgetExceeded) {
-  MonitorOptions mopts;
-  mopts.mode = MonitorOptions::Mode::kTotalBudget;
-  Monitor monitor(MonitorBudget(/*negative_bits=*/100.0, /*timestamps=*/10),
-                  mopts);
+  Monitor monitor(MonitorBudget(/*negative_bits=*/100.0));
   EXPECT_FALSE(monitor.ShouldRefresh());
   // Stream fully unexplained facts until the budget is blown.
   Timestamp t = 0;
@@ -1509,8 +1505,7 @@ TEST(MonitorTest, RefreshFiresWhenBudgetExceeded) {
 }
 
 TEST(MonitorTest, WellExplainedStreamDoesNotFire) {
-  MonitorOptions mopts;
-  Monitor monitor(MonitorBudget(100.0, 10), mopts);
+  Monitor monitor(MonitorBudget(100.0));
   for (Timestamp t = 0; t < 50; ++t) {
     for (int i = 0; i < 5; ++i) monitor.Observe(t, true, true);
   }
@@ -1519,82 +1514,18 @@ TEST(MonitorTest, WellExplainedStreamDoesNotFire) {
   EXPECT_FALSE(monitor.ShouldRefresh());
 }
 
-TEST(MonitorTest, PerTimestampModeComparesMeans) {
-  MonitorOptions mopts;
-  mopts.mode = MonitorOptions::Mode::kPerTimestamp;
-  // Training mean: 100 bits over 10 timestamps = 10 bits/ts.
-  Monitor monitor(MonitorBudget(100.0, 10), mopts);
-  // One bad timestamp: 5 unexplained facts cost >> 10 bits.
-  for (int i = 0; i < 5; ++i) monitor.Observe(0, false, false);
-  monitor.Flush();
-  EXPECT_TRUE(monitor.ShouldRefresh());
-}
-
-TEST(MonitorTest, PerTimestampSlackScalesTheFiringThreshold) {
-  // Training mean: 10 bits/timestamp. One bad tick costs ~2 log2(1e8)
-  // ≈ 53 bits: above the mean at slack 1, far below it at slack 1000.
-  MonitorOptions tight_opts;
-  tight_opts.mode = MonitorOptions::Mode::kPerTimestamp;
-  tight_opts.slack = 1.0;
-  MonitorOptions loose_opts = tight_opts;
-  loose_opts.slack = 1000.0;
-  Monitor tight(MonitorBudget(100.0, 10), tight_opts);
-  Monitor loose(MonitorBudget(100.0, 10), loose_opts);
-  for (int i = 0; i < 2; ++i) {
-    tight.Observe(0, false, false);
-    loose.Observe(0, false, false);
-  }
-  tight.Flush();
-  loose.Flush();
-  EXPECT_TRUE(tight.ShouldRefresh());
-  EXPECT_FALSE(loose.ShouldRefresh());
-}
-
 TEST(MonitorTest, ShouldRefreshPricesThePendingOpenBucket) {
   // Facts stream within a single timestamp: the bucket is still open, so
-  // nothing is priced into the accumulators yet — but ShouldRefresh must
+  // nothing is priced into the accumulator yet — but ShouldRefresh must
   // already see the pending cost, or a single-timestamp burst could never
   // fire the monitor.
-  MonitorOptions mopts;
-  Monitor monitor(MonitorBudget(1.0, 1), mopts);
+  Monitor monitor(MonitorBudget(1.0));
   for (int i = 0; i < 5; ++i) monitor.Observe(7, false, false);
   EXPECT_DOUBLE_EQ(monitor.online_negative_bits(), 0.0);
-  EXPECT_EQ(monitor.online_timestamps(), 0u);
   EXPECT_TRUE(monitor.ShouldRefresh());
   monitor.Flush();
   EXPECT_GT(monitor.online_negative_bits(), 1.0);
-  EXPECT_EQ(monitor.online_timestamps(), 1u);
   EXPECT_TRUE(monitor.ShouldRefresh());
-}
-
-TEST(MonitorTest, ReplayEqualsLiveObservation) {
-  // The async swap's handoff (AnoT::CompleteRefresh): a fresh monitor for
-  // the new budget Replays the window observed since the snapshot. Must
-  // be bit-identical to a monitor that lived through the same window —
-  // including the still-open bucket.
-  const std::vector<MonitorObservation> window = {
-      {100, false, false}, {100, true, false},  {101, true, true},
-      {101, false, false}, {102, false, false},
-  };
-  MonitorOptions mopts;
-  Monitor replayed(MonitorBudget(123.0, 7), mopts);
-  replayed.Replay(window);
-  Monitor observed(MonitorBudget(123.0, 7), mopts);
-  for (const MonitorObservation& o : window) {
-    observed.Observe(o.time, o.mapped, o.associated);
-  }
-  EXPECT_EQ(replayed.online_negative_bits(), observed.online_negative_bits());
-  EXPECT_EQ(replayed.online_timestamps(), observed.online_timestamps());
-  EXPECT_EQ(replayed.ShouldRefresh(), observed.ShouldRefresh());
-
-  // The replayed bucket at t=102 is still open: further observations at
-  // the same timestamp merge into it on both monitors.
-  replayed.Observe(102, true, true);
-  observed.Observe(102, true, true);
-  replayed.Flush();
-  observed.Flush();
-  EXPECT_EQ(replayed.online_negative_bits(), observed.online_negative_bits());
-  EXPECT_EQ(replayed.online_timestamps(), observed.online_timestamps());
 }
 
 TEST(MonitorTest, PricesTheTrainingDataAtTheBuildersBudget) {
@@ -1623,16 +1554,16 @@ TEST(MonitorTest, PricesTheTrainingDataAtTheBuildersBudget) {
 TEST_F(CoreFixture, ProcessArrivalFeedsMonitorAndAutoRefreshes) {
   AnoTOptions options;
   options.detector = TestDetectorOptions();
-  options.monitor.mode = MonitorOptions::Mode::kPerTimestamp;
   options.auto_refresh = true;
   AnoT local = AnoT::Build(*train_, options);
   local.SetValidityThresholds(1.0, 1.0);
 
-  // Stream dense garbage (unknown entities) to blow the per-timestamp
-  // budget: each tick's unexplained cost must exceed the training mean.
+  // Stream dense garbage (unknown entities), 80 arrivals per tick, until
+  // its unexplained cost passes the training L(N_G) (Eq. 11): about 11.5k
+  // bits in this world, passed after about 720 arrivals.
   const EntityId base = static_cast<EntityId>(local.graph().num_entities());
   Timestamp t = local.graph().max_time() + 1;
-  for (int i = 0; i < 400 && local.refresh_count() == 0; ++i) {
+  for (int i = 0; i < 2000 && local.refresh_count() == 0; ++i) {
     local.ProcessArrival(Fact(base + i, 0, base + i + 1, t + i / 80));
   }
   EXPECT_GT(local.refresh_count(), 0u);
@@ -1721,6 +1652,51 @@ TEST(DurationTest, FourGraphsBuildAndScore) {
   for (size_t i = 0; i < model.num_views(); ++i) {
     EXPECT_EQ(model.view(i).graph().num_facts(), before + 1);
   }
+}
+
+TEST(DurationTest, ScoreAveragesEveryFieldOverTheViews) {
+  GeneratorConfig cfg = TestWorldConfig();
+  cfg.num_facts = 4000;
+  cfg.durations = true;
+  cfg.mean_duration = 20.0;
+  SyntheticGenerator gen(cfg);
+  auto graph = gen.Generate();
+  TimeSplit split = SplitByTimestamps(*graph, 0.6, 0.1);
+  auto train = Subgraph(*graph, split.train);
+
+  AnoTOptions options;
+  options.detector = TestDetectorOptions();
+  const DurationAnoT model = DurationAnoT::Build(*train, options);
+  ASSERT_EQ(model.num_views(), 4u);
+
+  // A test fact some view finds in temporal conflict, so a dropped
+  // conflict term cannot pass as an average of zeros.
+  size_t checked = 0;
+  for (FactId id : split.test) {
+    const Fact& f = graph->fact(id);
+    Scores sum;
+    for (size_t v = 0; v < model.num_views(); ++v) {
+      const Scores s = model.view(v).Score(f);
+      sum.static_score += s.static_score;
+      sum.temporal_score += s.temporal_score;
+      sum.static_support += s.static_support;
+      sum.temporal_support += s.temporal_support;
+      sum.temporal_conflict += s.temporal_conflict;
+      sum.out_violations += s.out_violations;
+    }
+    if (sum.temporal_conflict == 0.0) continue;
+    const double n = static_cast<double>(model.num_views());
+    const Scores got = model.Score(f);
+    EXPECT_EQ(got.static_score, sum.static_score / n);
+    EXPECT_EQ(got.temporal_score, sum.temporal_score / n);
+    EXPECT_EQ(got.static_support, sum.static_support / n);
+    EXPECT_EQ(got.temporal_support, sum.temporal_support / n);
+    EXPECT_EQ(got.temporal_conflict, sum.temporal_conflict / n);
+    EXPECT_EQ(got.out_violations, sum.out_violations);
+    ++checked;
+    break;
+  }
+  EXPECT_EQ(checked, 1u) << "no test fact in conflict: case is vacuous";
 }
 
 TEST(DurationTest, SingleViewStrategies) {

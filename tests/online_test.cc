@@ -176,32 +176,36 @@ TEST_F(OnlineFixture, ArrivalsBitIdenticalAcrossThreadCounts) {
 
 // ------------------------------------------------- refresh mid-stream
 
+/// A prefix of real (ingestable) facts, then a flood of unknown-entity
+/// garbage, 80 arrivals per tick, that blows the Eq. 11 budget so the
+/// monitor fires mid-stream, then more real facts scored against the
+/// rebuilt rule graph. The ingested prefix makes the refreshed graph
+/// differ from the offline build. The flood is sized to the budget: this
+/// world's L(N_G) is about 4.7k bits, which the flood's unexplained cost
+/// passes after about 320 arrivals, so 400 refresh exactly once.
+std::vector<Fact> RefreshingStream(const TemporalKnowledgeGraph& graph,
+                                   const TimeSplit& split) {
+  std::vector<Fact> stream;
+  const EntityId base = static_cast<EntityId>(graph.num_entities());
+  const Timestamp t0 = graph.max_time() + 1;
+  const size_t prefix = std::min<size_t>(60, split.test.size());
+  for (size_t i = 0; i < prefix; ++i) {
+    stream.push_back(graph.fact(split.test[i]));
+  }
+  for (int i = 0; i < 400; ++i) {
+    stream.push_back(Fact(base + i, 0, base + i + 1, t0 + i / 80));
+  }
+  for (size_t i = prefix; i < std::min<size_t>(prefix + 40, split.test.size());
+       ++i) {
+    stream.push_back(graph.fact(split.test[i]));
+  }
+  return stream;
+}
+
 TEST_F(OnlineFixture, AutoRefreshMidStreamBitIdenticalAcrossThreadCounts) {
   AnoTOptions options = OnlineOptions(1);
   options.auto_refresh = true;
-  options.monitor.mode = MonitorOptions::Mode::kPerTimestamp;
-
-  // A prefix of real (ingestable) facts, then a dense flood of
-  // unknown-entity garbage that blows the per-timestamp budget so Refresh
-  // fires mid-stream, then more real facts scored against the rebuilt
-  // rule graph. The ingested prefix makes the refreshed graph
-  // differ from the offline build.
-  std::vector<Fact> stream;
-  const EntityId base = static_cast<EntityId>(graph_->num_entities());
-  const Timestamp t0 = graph_->max_time() + 1;
-  const size_t prefix = std::min<size_t>(60, split_->test.size());
-  for (size_t i = 0; i < prefix; ++i) {
-    stream.push_back(graph_->fact(split_->test[i]));
-  }
-  // Kept short: in kPerTimestamp mode every few unexplained facts re-fire
-  // the monitor after a refresh, and each refresh is a full rebuild.
-  for (int i = 0; i < 24; ++i) {
-    stream.push_back(Fact(base + i, 0, base + i + 1, t0 + i / 80));
-  }
-  for (size_t i = prefix; i < std::min<size_t>(prefix + 40, split_->test.size());
-       ++i) {
-    stream.push_back(graph_->fact(split_->test[i]));
-  }
+  const std::vector<Fact> stream = RefreshingStream(*graph_, *split_);
 
   const RunOutcome ref = RunArrivals(*train_, options, stream);
   ASSERT_GT(ref.refresh_count, 0u) << "monitor never fired: case is vacuous";
@@ -211,6 +215,29 @@ TEST_F(OnlineFixture, AutoRefreshMidStreamBitIdenticalAcrossThreadCounts) {
     par.num_threads = threads;
     ExpectOutcomesIdentical(ref, RunArrivals(*train_, par, stream), threads);
   }
+}
+
+TEST_F(OnlineFixture, AutoRefreshEqualsCallerDrivenRefresh) {
+  // auto_refresh is shorthand for the caller's own Eq. 11 check after
+  // every arrival: scores, rules and refresh_count agree bit for bit.
+  AnoTOptions options = OnlineOptions(1);
+  options.auto_refresh = true;
+  const std::vector<Fact> stream = RefreshingStream(*graph_, *split_);
+  const RunOutcome automatic = RunArrivals(*train_, options, stream);
+  ASSERT_GT(automatic.refresh_count, 0u)
+      << "monitor never fired: case is vacuous";
+
+  options.auto_refresh = false;
+  AnoT system = AnoT::Build(*train_, options);
+  RunOutcome manual;
+  for (const Fact& f : stream) {
+    manual.scores.push_back(system.ProcessArrival(f, &manual.effects));
+    if (system.monitor().ShouldRefresh()) system.Refresh();
+  }
+  manual.refresh_count = system.refresh_count();
+  manual.num_facts = system.graph().num_facts();
+  manual.rules = system.rules().ToString();
+  ExpectOutcomesIdentical(automatic, manual, 1);
 }
 
 }  // namespace

@@ -76,10 +76,9 @@ TEST(LedgerValidateTest, PassesThroughApplyAndSetTotal) {
 TEST(MonitorValidateTest, PassesAcrossBucketLifecycle) {
   BuildReport budget;
   budget.negative_bits = 120.0;
-  budget.num_train_timestamps = 10;
   budget.tier1_universe = 1000.0;
   budget.tier2_universe = 10.0;
-  Monitor monitor(budget, MonitorOptions{});
+  Monitor monitor(budget);
   monitor.CheckInvariants();
   monitor.Observe(1, true, true);
   monitor.Observe(1, false, false);
