@@ -13,12 +13,11 @@ namespace {
 /// Scores the test stream bucketed into `buckets` timestamp groups and
 /// returns the per-bucket conceptual F0.5 (threshold tuned on validation).
 /// Both windows flow through the protocol's per-fact stream loop: each
-/// arrival is scored, then fed back via ObserveValid when valid.
+/// arrival is scored, then, `with_updater`, fed back via ObserveValid when
+/// valid.
 std::vector<double> FScoreSeries(const Workload& w, bool with_updater,
                                  size_t buckets) {
-  AnoTOptions options = DefaultAnoTOptions(w.config.name);
-  options.enable_updater = with_updater;
-  AnoTModel model(options);
+  AnoTModel model(DefaultAnoTOptions(w.config.name));
   auto train = Subgraph(*w.graph, w.split.train);
   model.Fit(*train);
 
@@ -26,7 +25,7 @@ std::vector<double> FScoreSeries(const Workload& w, bool with_updater,
   EvalStream val = val_inj.Inject(*w.graph, w.split.val);
   std::vector<ScoredExample> val_examples;
   ForEachScoredArrival(
-      val.arrivals, &model, /*observe_valid=*/true,
+      val.arrivals, &model, /*observe_valid=*/with_updater,
       [&](size_t i, const AnomalyModel::TaskScores& s) {
         val_examples.push_back(
             {s.conceptual, val.arrivals[i].label == AnomalyType::kConceptual});
@@ -42,7 +41,7 @@ std::vector<double> FScoreSeries(const Workload& w, bool with_updater,
                                 static_cast<double>(buckets));
   std::vector<std::vector<ScoredExample>> bucketed(buckets);
   ForEachScoredArrival(
-      test.arrivals, &model, /*observe_valid=*/true,
+      test.arrivals, &model, /*observe_valid=*/with_updater,
       [&](size_t i, const AnomalyModel::TaskScores& s) {
         const LabeledFact& lf = test.arrivals[i];
         const size_t b = std::min<size_t>(

@@ -19,13 +19,15 @@ int main() {
     // (static storage, outlives everything)
     const char* name;
     void (*apply)(AnoTOptions*);
+    /// False for "-updater": the protocol feeds no knowledge back.
+    bool observe_valid = true;
   };
   const std::vector<Variant> variants = {
       {"-category aggregation",
        [](AnoTOptions* o) {
          o->detector.category.max_aggregation_rounds = 0;
        }},
-      {"-updater", [](AnoTOptions* o) { o->enable_updater = false; }},
+      {"-updater", [](AnoTOptions*) {}, /*observe_valid=*/false},
       {"-triadic edges",
        [](AnoTOptions* o) { o->detector.use_triadic = false; }},
       {"-recursive strategy",
@@ -50,7 +52,9 @@ int main() {
     for (const Variant& v : variants) {
       AnoTOptions options = SweepCellAnoTOptions(w.config.name);
       v.apply(&options);
-      cells.push_back(MakeCell(w, popts, v.name,
+      ProtocolOptions cell_popts = popts;
+      cell_popts.observe_valid = v.observe_valid;
+      cells.push_back(MakeCell(w, cell_popts, v.name,
                                ModelFactory<AnoTModel>(options,
                                                        std::string(v.name))));
     }

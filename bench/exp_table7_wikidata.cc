@@ -21,9 +21,10 @@ int main() {
   }
   {
     AnoTOptions options = SweepCellAnoTOptions(w.config.name);
-    options.enable_updater = false;
+    ProtocolOptions no_updater = popts;
+    no_updater.observe_valid = false;
     cells.push_back(MakeCell(
-        w, popts, "AnoT(-updater)",
+        w, no_updater, "AnoT(-updater)",
         ModelFactory<DurationAnoTModel>(options,
                                         DurationStrategy::kFourGraphs,
                                         std::string("AnoT(-updater)"))));

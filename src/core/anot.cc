@@ -116,8 +116,7 @@ void AnoT::RecreateServingObjects() {
   scorer_ = std::make_unique<Scorer>(graph_.get(), categories_.get(),
                                      rules_.get(), &options_->detector);
   updater_ = std::make_unique<Updater>(graph_.get(), categories_.get(),
-                                       rules_.get(), &options_->detector,
-                                       options_->updater);
+                                       rules_.get(), &options_->detector);
 }
 
 Scores AnoT::Score(const Fact& fact, Evidence* evidence) const {
@@ -131,7 +130,6 @@ void AnoT::SetValidityThresholds(double static_threshold,
 }
 
 UpdateEffects AnoT::IngestValid(const Fact& fact) {
-  if (!options_->enable_updater) return {};
   return updater_->Ingest(fact);
 }
 

@@ -26,10 +26,6 @@ class Checkpoint;
 /// \brief Top-level AnoT configuration.
 struct AnoTOptions {
   DetectorOptions detector;
-  UpdaterOptions updater;
-  /// Table 3's "remove updater module" ablation switch: when false,
-  /// AnoT::IngestValid ingests nothing and returns empty UpdateEffects.
-  bool enable_updater = true;
   /// When true, ProcessArrival runs the synchronous Refresh() once the
   /// monitor fires (the paper's semantics: the rebuild stalls that
   /// arrival). A caller that wants the double-buffered rebuild leaves this
@@ -48,8 +44,6 @@ struct AnoTOptions {
   template <class V>
   void Fields(V& v) {
     detector.Fields(v);
-    updater.Fields(v);
-    v(enable_updater);
     v(auto_refresh);
     v(num_threads, size_t{4096});
   }
@@ -90,10 +84,10 @@ class AnoT {
   std::vector<Scores> ScoreBatch(const std::vector<Fact>& facts) const;
 
   /// Full online step: scores, feeds the monitor, and — when the scores
-  /// clear the validity thresholds and the updater is enabled — ingests
-  /// the knowledge (Algorithm 3). With auto_refresh on, a monitor that
-  /// fires then triggers Refresh(). Returns the scores. When `effects` is
-  /// non-null, the ingest's counters are *accumulated* into it.
+  /// clear the validity thresholds — ingests the knowledge (Algorithm 3).
+  /// With auto_refresh on, a monitor that fires then triggers Refresh().
+  /// Returns the scores. When `effects` is non-null, the ingest's
+  /// counters are *accumulated* into it.
   Scores ProcessArrival(const Fact& fact, UpdateEffects* effects = nullptr);
 
   /// Validity thresholds used by ProcessArrival (tuned on validation in
@@ -102,7 +96,8 @@ class AnoT {
   void SetValidityThresholds(double static_threshold,
                              double temporal_threshold);
 
-  /// Updater path for valid knowledge; a no-op when enable_updater is off.
+  /// Updater path for valid knowledge (Algorithm 3). The "-updater"
+  /// ablation never calls it (ProtocolOptions::observe_valid = false).
   UpdateEffects IngestValid(const Fact& fact);
 
   /// Rebuilds the category function and rule graph from the current

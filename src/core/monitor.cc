@@ -19,15 +19,12 @@ double Monitor::BucketBits() const {
 }
 
 void Monitor::CloseBucket() {
-  if (!bucket_open_) return;
-  online_bits_ += BucketBits();
-  bucket_open_ = false;
+  online_bits_ = online_negative_bits();
   bucket_total_ = bucket_mapped_ = bucket_associated_ = 0;
 }
 
 void Monitor::Observe(Timestamp t, bool mapped, bool associated) {
-  if (bucket_open_ && t != bucket_time_) CloseBucket();
-  bucket_open_ = true;
+  if (t != bucket_time_) CloseBucket();
   bucket_time_ = t;
   ++bucket_total_;
   bucket_mapped_ += mapped ? 1 : 0;
@@ -36,10 +33,12 @@ void Monitor::Observe(Timestamp t, bool mapped, bool associated) {
 
 void Monitor::Flush() { CloseBucket(); }
 
+double Monitor::online_negative_bits() const {
+  return bucket_total_ > 0 ? online_bits_ + BucketBits() : online_bits_;
+}
+
 bool Monitor::ShouldRefresh() const {
-  const double pending = bucket_open_ ? online_bits_ + BucketBits()
-                                      : online_bits_;
-  return pending > training_bits_;
+  return online_negative_bits() > training_bits_;
 }
 
 Status Monitor::Validate() const {
@@ -59,15 +58,8 @@ Status Monitor::Validate() const {
     return Status::Internal(StrFormat("bucket mapped %u > total %u",
                                       bucket_mapped_, bucket_total_));
   }
-  if (bucket_open_) {
-    if (bucket_total_ < 1) {
-      return Status::Internal("open bucket with no arrivals");
-    }
-    if (bucket_time_ == kNoTimestamp) {
-      return Status::Internal("open bucket with no time");
-    }
-  } else if (bucket_total_ != 0) {
-    return Status::Internal("closed bucket retains counters");
+  if (bucket_total_ > 0 && bucket_time_ == kNoTimestamp) {
+    return Status::Internal("open bucket with no time");
   }
   return Status::OK();
 }

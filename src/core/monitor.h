@@ -25,18 +25,19 @@ class Monitor {
   /// Prices any open bucket (call at end of stream).
   void Flush();
 
-  /// Eq. 11 accumulated online negative cost.
-  double online_negative_bits() const { return online_bits_; }
+  /// Eq. 11's L(N_Go): the priced buckets plus the open one, so it equals
+  /// what a flushed copy of this monitor would report.
+  double online_negative_bits() const;
 
-  /// Eq. 11 as printed: true once the unseen data, including the open
-  /// bucket, costs more than the training data did (L(N_Go) > L(N_G)).
+  /// Eq. 11 as printed: true once the unseen data costs more than the
+  /// training data did (L(N_Go) > L(N_G)).
   bool ShouldRefresh() const;
 
   /// Checks the universes (ValidateNegativeErrorUniverses), a finite
   /// non-negative budget, non-negative accumulated bits, and bucket
-  /// counter coherence (associated <= mapped <= total; a closed bucket
-  /// holds zeroed counters, an open one at least one arrival and a real
-  /// timestamp). Returns the first violation.
+  /// counter coherence (associated <= mapped <= total; an open bucket,
+  /// one with arrivals, has a real timestamp). Returns the first
+  /// violation.
   Status Validate() const;
 
   /// Debug validator (compiled behind ANOT_VALIDATE, no-op otherwise):
@@ -59,7 +60,7 @@ class Monitor {
 
   double online_bits_ = 0.0;
 
-  bool bucket_open_ = false;
+  /// The open bucket: open while it holds arrivals (bucket_total_ > 0).
   Timestamp bucket_time_ = kNoTimestamp;
   uint32_t bucket_total_ = 0;
   uint32_t bucket_mapped_ = 0;

@@ -47,9 +47,6 @@ struct DetectorOptions {
   /// both triadic co-occurrence and timespan agreement.
   Timestamp timespan_tolerance = 100;
 
-  /// λ — minimum static support before temporal scoring runs (Alg. 2 l.8).
-  double lambda = 1.0;
-
   /// Ablation switches (Table 3). The "-category aggregation" variant sets
   /// category.max_aggregation_rounds = 0.
   bool use_triadic = true;
@@ -72,7 +69,6 @@ struct DetectorOptions {
     v(max_candidate_edges);
     v(max_recursion_steps);
     v(timespan_tolerance, std::numeric_limits<Timestamp>::max());
-    v(lambda);
     v(use_triadic);
     v(use_recursion);
     v(unit_rule_weight);
@@ -80,27 +76,6 @@ struct DetectorOptions {
     v(theta_mode, ThetaMode::kAsPrinted);
     v(head_anchor, TimeAnchor::kEnd);
     v(tail_anchor, TimeAnchor::kEnd);
-  }
-};
-
-/// \brief Online-update knobs (§4.4; Algorithm 3).
-struct UpdaterOptions {
-  /// A recurring unseen pattern becomes a new rule node once its online
-  /// support reaches this count and the marginal MDL test passes.
-  size_t new_rule_min_support = 3;
-
-  /// Cap on the not-yet-admitted pattern table. Anomaly-heavy streams mint
-  /// unbounded never-admitted candidates (every unseen (C(s), r, C(o))
-  /// combination opens an entry); past the cap the least-recently-touched
-  /// candidate is evicted, bounding memory at the cost of forgetting
-  /// support that accrues slower than the eviction horizon.
-  size_t max_pending_rules = 65536;
-
-  /// The persisted field list, in checkpoint order (io/checkpoint.cc).
-  template <class V>
-  void Fields(V& v) {
-    v(new_rule_min_support);
-    v(max_pending_rules);
   }
 };
 

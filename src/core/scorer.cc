@@ -12,6 +12,11 @@ namespace anot {
 namespace {
 constexpr double kEpsilonSupport = 1e-9;
 
+/// λ in Alg. 2 line 8: the static support temporal scoring needs. Every
+/// static rule weighs at least 1, so λ = 1 gates exactly the knowledge
+/// no selected rule maps.
+constexpr double kLambda = 1.0;
+
 /// Weak occurrence evidence contributed by the mapped rules themselves
 /// (weight × static support added to Eq. 10's denominator). Keeps the
 /// temporal score bounded for knowledge whose patterns carry no
@@ -259,7 +264,7 @@ Scores Scorer::Score(const Fact& fact, Evidence* evidence) const {
   scores.static_score = 1.0 / (scores.static_support + kEpsilonSupport);
 
   // ---- λ gate (Alg. 2 line 8) ----------------------------------------------
-  if (scores.static_support < options_->lambda) {
+  if (scores.static_support < kLambda) {
     // Gated knowledge is a *conceptual*-error candidate; no temporal
     // conflict evidence is gathered, so it ranks at the bottom of the
     // time-error task (Algorithm 2 returns S only).

@@ -9,19 +9,17 @@
 namespace anot {
 
 Updater::Updater(TemporalKnowledgeGraph* graph, CategoryFunction* categories,
-                 RuleGraph* rules, const DetectorOptions* detector_options,
-                 const UpdaterOptions& options)
+                 RuleGraph* rules, const DetectorOptions* detector_options)
     : graph_(graph),
       categories_(categories),
       rules_(rules),
       detector_options_(detector_options),
-      options_(options),
       scorer_(graph, categories, rules, detector_options) {
   ANOT_CHECK(graph_ && categories_ && rules_);
 }
 
 bool Updater::ShouldAdmitRule(uint32_t online_support) const {
-  if (online_support < options_.new_rule_min_support) return false;
+  if (online_support < kNewRuleMinSupport) return false;
   // Marginal MDL test: the tier-1 savings of the supporting facts must
   // exceed a conservative estimate of the rule's model cost
   // (log2 |C_E| + 2 log2 |E| + log2 |R| + 1 ≈ AtomicRuleBits upper bound).
@@ -42,7 +40,7 @@ uint32_t Updater::TouchPendingRule(const AtomicRule& rule) {
     pending_lru_.splice(pending_lru_.begin(), pending_lru_, it->second.lru);
     return ++it->second.support;
   }
-  if (pending_rules_.size() >= PendingRuleCap()) {
+  if (pending_rules_.size() >= kMaxPendingRules) {
     const AtomicRule& coldest = pending_lru_.back();
     pending_rules_.erase(coldest);
     pending_lru_.pop_back();
@@ -60,8 +58,8 @@ void Updater::ErasePendingRule(const AtomicRule& rule) {
 }
 
 Status Updater::Validate() const {
-  if (pending_rules_.size() > PendingRuleCap()) {
-    return Status::Internal("pending table exceeds max_pending_rules cap");
+  if (pending_rules_.size() > kMaxPendingRules) {
+    return Status::Internal("pending table exceeds its cap");
   }
   for (const auto& [rule, entry] : pending_rules_) {
     if (entry.support < 1) {

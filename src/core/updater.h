@@ -1,6 +1,6 @@
 #pragma once
 
-#include <algorithm>
+#include <cstdint>
 #include <list>
 
 #include "core/options.h"
@@ -47,15 +47,25 @@ struct UpdateEffects {
 /// and one Scorer::ChainWindow of the fact's pair history.
 class Updater {
  public:
+  /// A recurring unseen pattern becomes a new rule node once its online
+  /// support reaches this count and the marginal MDL test passes.
+  static constexpr uint32_t kNewRuleMinSupport = 3;
+
+  /// Cap on the not-yet-admitted pattern table. Anomaly-heavy streams mint
+  /// unbounded never-admitted candidates (every unseen (C(s), r, C(o))
+  /// combination opens an entry); past the cap the least-recently-touched
+  /// candidate is evicted, bounding memory at the cost of forgetting
+  /// support that accrues slower than the eviction horizon.
+  static constexpr size_t kMaxPendingRules = 65536;
+
   Updater(TemporalKnowledgeGraph* graph, CategoryFunction* categories,
-          RuleGraph* rules, const DetectorOptions* detector_options,
-          const UpdaterOptions& options);
+          RuleGraph* rules, const DetectorOptions* detector_options);
 
   /// Algorithm 3 for one piece of new valid knowledge.
   UpdateEffects Ingest(const Fact& fact);
 
   /// Number of patterns currently tracked but not yet admitted. Bounded by
-  /// UpdaterOptions::max_pending_rules (diagnostics / tests).
+  /// kMaxPendingRules (diagnostics / tests).
   size_t pending_rule_count() const { return pending_rules_.size(); }
 
   /// Checks the pending-rule table: the cap is respected, and every entry
@@ -77,14 +87,9 @@ class Updater {
   /// Marginal MDL admission test for a recurring unseen pattern.
   bool ShouldAdmitRule(uint32_t online_support) const;
 
-  /// The pending table's cap: max_pending_rules, at least one entry.
-  size_t PendingRuleCap() const {
-    return std::max<size_t>(1, options_.max_pending_rules);
-  }
-
   /// Bumps (or opens) the pending-support entry for `rule` and returns the
   /// new support count, evicting the least-recently-touched entry when the
-  /// table would exceed max_pending_rules.
+  /// table would exceed kMaxPendingRules.
   uint32_t TouchPendingRule(const AtomicRule& rule);
   void ErasePendingRule(const AtomicRule& rule);
 
@@ -96,7 +101,6 @@ class Updater {
   not_null<CategoryFunction*> categories_;
   not_null<RuleGraph*> rules_;
   not_null<const DetectorOptions*> detector_options_;
-  UpdaterOptions options_;
   Scorer scorer_;
   /// Online support counts of patterns not (yet) in the rule graph, with
   /// an LRU eviction order (front = most recently touched). Deterministic:

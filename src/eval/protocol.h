@@ -54,8 +54,10 @@ struct ProtocolOptions {
   double beta = 0.5;
   InjectorConfig injector;
   /// Feed knowledge scored as valid back to the model between windows
-  /// (AnoT's updater; frequency/recency baselines). The paper's rule-graph
-  /// refresh stays disabled during evaluation for fairness.
+  /// (AnoT's updater; frequency/recency baselines). False is the
+  /// "-updater" ablation of Table 3, Table 7 and Figure 6: the model keeps
+  /// its fitted state through both windows. The paper's rule-graph refresh stays
+  /// disabled during evaluation for fairness.
   bool observe_valid = true;
 };
 

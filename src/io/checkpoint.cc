@@ -379,7 +379,6 @@ struct Checkpoint::Codec {
   template <class M, class V>
   static void MonitorFields(M& m, V& v) {
     v(m.online_bits_);
-    v(m.bucket_open_);
     v(m.bucket_time_);
     v(m.bucket_total_);
     v(m.bucket_mapped_);

@@ -34,7 +34,11 @@ namespace anot {
 ///   per section, in fixed ascending id order:
 ///     [4] u32 section id   [8] u64 payload length   [.] payload
 ///     ids 1-8: options, graph, categories, rules, report, monitor,
-///     updater, serving
+///     updater, serving. The options payload is AnoTOptions::Fields: the
+///     detector's values, then auto_refresh and num_threads. The monitor
+///     payload is the online accumulation, then the open bucket's time,
+///     total, mapped and associated counts (a bucket is open while its
+///     total is non-zero).
 ///   [8]  u64 FNV-1a-64 checksum of every preceding byte
 ///
 /// Versioning policy: the format version is bumped on any layout change;
@@ -52,7 +56,7 @@ class Checkpoint {
   /// Footer/section framing constants, public so tests and tooling can
   /// craft or inspect checkpoint bytes.
   static constexpr char kMagic[8] = {'A', 'N', 'O', 'T', 'C', 'K', 'P', 'T'};
-  static constexpr uint32_t kFormatVersion = 9;
+  static constexpr uint32_t kFormatVersion = 10;
 
   /// Serializes `system` to `path` atomically (temp file + rename).
   /// FailedPrecondition when a background refresh is in flight — quiesce

@@ -256,6 +256,35 @@ TEST(ProtocolTest, MetricsIdenticalAcrossAnoTThreadCounts) {
 
 // ------------------------------------------------------ protocol + AnoT
 
+TEST(ProtocolTest, WithoutObserveValidAnoTKeepsItsFittedState) {
+  // The "-updater" ablation is observe_valid = false: the protocol never
+  // calls ObserveValid, so the fitted TKG and rule graph stay as built
+  // through both windows. With it on, the same run grows the graph.
+  SyntheticGenerator gen(SmallProtocolWorld());
+  auto graph = gen.Generate();
+  TimeSplit split = SplitByTimestamps(*graph, 0.6, 0.1);
+  AnoTOptions options;
+  options.detector.category.min_support = 4;
+  options.detector.timespan_tolerance = 5;
+  options.num_threads = 1;
+  const AnoT fitted = AnoT::Build(*Subgraph(*graph, split.train), options);
+
+  for (const bool observe_valid : {false, true}) {
+    SCOPED_TRACE(observe_valid);
+    AnoTModel model(options);
+    ProtocolOptions popts;
+    popts.observe_valid = observe_valid;
+    RunProtocol(*graph, split, &model, popts);
+    const AnoT& system = model.system();
+    if (observe_valid) {
+      EXPECT_GT(system.graph().num_facts(), fitted.graph().num_facts());
+    } else {
+      EXPECT_EQ(system.graph().num_facts(), fitted.graph().num_facts());
+      EXPECT_EQ(system.rules().ToString(), fitted.rules().ToString());
+    }
+  }
+}
+
 TEST(ProtocolTest, AnoTEndToEndProducesSaneMetrics) {
   GeneratorConfig cfg;
   cfg.num_entities = 200;

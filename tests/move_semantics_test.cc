@@ -185,14 +185,12 @@ TEST_F(MoveSemanticsTest, MovedUpdaterIngestsBitIdentical) {
   TemporalKnowledgeGraph graph_a = *train_;
   CategoryFunction categories_a = built_categories;
   RuleGraph rules_a = *built.rule_graph;
-  Updater twin(&graph_a, &categories_a, &rules_a, &options.detector,
-               options.updater);
+  Updater twin(&graph_a, &categories_a, &rules_a, &options.detector);
 
   TemporalKnowledgeGraph graph_b = *train_;
   CategoryFunction categories_b = built_categories;
   RuleGraph rules_b = *built.rule_graph;
-  Updater source(&graph_b, &categories_b, &rules_b, &options.detector,
-                 options.updater);
+  Updater source(&graph_b, &categories_b, &rules_b, &options.detector);
   Updater moved(std::move(source));
 
   for (const Fact& fact : *stream_) {
