@@ -11,35 +11,22 @@ namespace anot {
 
 /// One double-buffered rebuild. The worker thread touches only this
 /// struct (snapshot in, built structures out) — never the owning AnoT,
-/// whose address changes under moves. This is a lock-free single-producer
-/// (worker) / single-consumer (serving thread) handoff, so the ownership
-/// contract lives in the two atomics below instead of a mutex; the
-/// concurrency lint requires every atomic to carry its `anot-sync:`
-/// contract, and the field-by-field ownership is spelled out per member.
+/// whose address changes under moves. The join is the one handoff: the
+/// serving thread reads `snapshot` and `built` again only after joining
+/// the worker (FinishRefresh, or the destructor, which discards them).
 struct AnoT::AsyncRefresh {
   /// Written by the serving thread before the worker starts (the thread
   /// constructor provides the happens-before); read-only input to the
-  /// worker after that; re-read by the serving thread only after the
-  /// `ready` acquire (or the join in CompleteRefresh), when the worker
-  /// has finished with it.
+  /// worker after that.
   std::unique_ptr<TemporalKnowledgeGraph> snapshot;
-  /// Worker-owned while the build runs. Published to the serving thread
-  /// by the `ready` release store; the serving thread must not touch it
-  /// before an acquire load of `ready` returns true (or the worker is
-  /// joined, which orders at least as strongly).
+  /// Worker-owned until the join. Incomplete when the build was cancelled,
+  /// which only the destructor does, so nothing reads it then.
   BuiltStructures built;
   /// anot-sync: serving thread -> worker abort request. Relaxed is
   /// enough: it carries no payload — the worker polls it between build
   /// stages and simply stops; the join below is the real synchronization
   /// point for everything the cancelled worker wrote.
   std::atomic<bool> cancel{false};
-  /// anot-sync: publication flag for `built` (and `snapshot` reuse).
-  /// Worker stores true with memory_order_release after its last write;
-  /// the serving thread reads with memory_order_acquire (RefreshReady /
-  /// MaybeCompleteRefresh), so observing true makes every build-side
-  /// write visible. The release/acquire pair IS the handoff; downgrade
-  /// either side and the struct races.
-  std::atomic<bool> ready{false};
   std::thread worker;
 
   /// One Observe call made after the snapshot: the monitor handoff the
@@ -172,8 +159,6 @@ Scores AnoT::ProcessArrival(const Fact& fact, UpdateEffects* effects) {
     if (effects != nullptr) effects->Accumulate(e);
   }
   if (options_->auto_refresh && monitor_->ShouldRefresh()) Refresh();
-  // Swap in a staged background build at this commit boundary.
-  MaybeCompleteRefresh();
   return scores;
 }
 
@@ -184,7 +169,7 @@ void AnoT::Refresh() {
 }
 
 void AnoT::RefreshAsync() {
-  if (async_ != nullptr) return;  // coalesce: already in flight or staged
+  if (async_ != nullptr) return;  // coalesce: one build per FinishRefresh
   async_ = std::make_unique<AsyncRefresh>();
   async_->snapshot = std::make_unique<TemporalKnowledgeGraph>(*graph_);
   // The worker owns only the heap-held AsyncRefresh (stable across moves
@@ -192,42 +177,13 @@ void AnoT::RefreshAsync() {
   AsyncRefresh* state = async_.get();
   const AnoTOptions options = *options_;
   state->worker = std::thread([state, options] {
-    BuiltStructures built =
-        BuildStructures(*state->snapshot, options, &state->cancel);
-    if (!state->cancel.load(std::memory_order_relaxed)) {
-      state->built = std::move(built);
-    }
-    state->ready.store(true, std::memory_order_release);
+    state->built = BuildStructures(*state->snapshot, options, &state->cancel);
   });
-}
-
-bool AnoT::refresh_in_flight() const { return async_ != nullptr; }
-
-bool AnoT::RefreshReady() const {
-  return async_ != nullptr && async_->ready.load(std::memory_order_acquire);
-}
-
-void AnoT::WaitForRefreshReady() {
-  if (async_ == nullptr) return;
-  if (async_->worker.joinable()) async_->worker.join();
 }
 
 bool AnoT::FinishRefresh() {
   if (async_ == nullptr) return false;
-  WaitForRefreshReady();
-  CompleteRefresh();
-  return true;
-}
-
-void AnoT::MaybeCompleteRefresh() {
-  if (async_ != nullptr && async_->ready.load(std::memory_order_acquire)) {
-    CompleteRefresh();
-  }
-}
-
-void AnoT::CompleteRefresh() {
-  ANOT_CHECK(async_ != nullptr);
-  if (async_->worker.joinable()) async_->worker.join();
+  async_->worker.join();  // blocks only while the build is still running
   ANOT_CHECK(async_->built.rules != nullptr);
   // 1. Adopt the structures built from the snapshot. The served graph
   // holds the snapshot's facts followed by every fact ingested since:
@@ -251,6 +207,7 @@ void AnoT::CompleteRefresh() {
     monitor_->Observe(o.time, o.mapped, o.associated);
   }
   ++refresh_count_;
+  return true;
 }
 
 Explainer AnoT::MakeExplainer() const {

@@ -29,8 +29,8 @@ struct AnoTOptions {
   /// When true, ProcessArrival runs the synchronous Refresh() once the
   /// monitor fires (the paper's semantics: the rebuild stalls that
   /// arrival). A caller that wants the double-buffered rebuild leaves this
-  /// off and calls RefreshAsync() itself. (The paper disables refresh
-  /// during evaluation for fairness, §5.2.)
+  /// off and calls RefreshAsync() and FinishRefresh() itself. (The paper
+  /// disables refresh during evaluation for fairness, §5.2.)
   bool auto_refresh = false;
   /// Worker threads for the offline construction pipeline (category
   /// function passes, candidate costing, duration views) *and* batched
@@ -111,12 +111,19 @@ class AnoT {
   // function + rule graph on a background thread while the current scorer
   // keeps serving. Facts ingested after the snapshot are appended to the
   // served graph as usual; monitor observations after the snapshot are
-  // logged. Once the build is ready, the next ProcessArrival commit
-  // boundary (or FinishRefresh) performs the swap. The monitor never
-  // starts one by itself; a caller that serves through rebuilds writes
+  // logged. FinishRefresh() is the only swap point: however early the
+  // build finishes, every arrival before that call is scored against the
+  // old structures, so the scores depend on the arrival sequence alone. A
+  // caller that serves through rebuilds swaps a fixed D arrivals after the
+  // monitor fires (D = 0 is the synchronous Refresh()):
   //
   //   anot.ProcessArrival(fact);
-  //   if (anot.monitor().ShouldRefresh()) anot.RefreshAsync();
+  //   if (lag == 0 && anot.monitor().ShouldRefresh()) {
+  //     anot.RefreshAsync();
+  //     lag = D;
+  //   } else if (lag > 0 && --lag == 0) {
+  //     anot.FinishRefresh();  // blocks only if the build is still running
+  //   }
   //
   // The swap:
   //
@@ -132,23 +139,13 @@ class AnoT {
   // of the facts ingested since; the post-swap monitor equals a monitor
   // reset to the new budget that then observed the logged window.
 
-  /// Starts a background rebuild; returns immediately. No-op when one is
-  /// already in flight or staged (requests coalesce).
+  /// Starts a background rebuild; returns immediately. No-op while an
+  /// earlier one awaits its FinishRefresh() (requests coalesce).
   void RefreshAsync();
 
-  /// True from RefreshAsync() until the swap (or abandonment).
-  bool refresh_in_flight() const;
-
-  /// True when the background build has finished and the swap will happen
-  /// at the next commit boundary.
-  bool RefreshReady() const;
-
-  /// Blocks until the in-flight build (if any) is staged. Does NOT swap.
-  void WaitForRefreshReady();
-
-  /// Waits for the in-flight build and performs the swap immediately (an
-  /// explicit commit boundary: end of stream, quiesce). Returns true when
-  /// a swap happened, false when nothing was in flight.
+  /// Waits for the background build if it is still running, then swaps it
+  /// in. Returns true when a swap happened, false when no build was
+  /// started since the last swap (or Refresh() abandoned it).
   bool FinishRefresh();
 
   const TemporalKnowledgeGraph& graph() const ANOT_LIFETIME_BOUND {
@@ -169,8 +166,9 @@ class AnoT {
 
   /// Debug validator (compiled behind ANOT_VALIDATE, no-op otherwise):
   /// runs CheckInvariants() on the grown TKG, the category function, the
-  /// rule graph, the monitor and the updater. Call at commit boundaries (between arrivals/batches,
-  /// after Refresh/FinishRefresh), never concurrently with mutation.
+  /// rule graph, the monitor and the updater. Call between arrivals or
+  /// batches and after Refresh/FinishRefresh, never concurrently with
+  /// mutation.
   void CheckInvariants() const;
 
   // -- Checkpoint / warm restart (io/checkpoint.h) --------------------------
@@ -220,13 +218,6 @@ class AnoT {
   void Adopt(BuiltStructures built);
   /// Recreates scorer_ and updater_ against the current structures.
   void RecreateServingObjects();
-
-  /// Swaps in the staged background build if one is ready.
-  void MaybeCompleteRefresh();
-  /// Adopt staged structures + replay the ingests and observations since
-  /// the snapshot (see the determinism contract above). Requires a ready
-  /// staged build.
-  void CompleteRefresh();
 
   /// Lazily created worker pool for batched scoring; nullptr while the
   /// configured thread count resolves to 1. Mutable because scoring is

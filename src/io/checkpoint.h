@@ -56,7 +56,7 @@ class Checkpoint {
   /// Footer/section framing constants, public so tests and tooling can
   /// craft or inspect checkpoint bytes.
   static constexpr char kMagic[8] = {'A', 'N', 'O', 'T', 'C', 'K', 'P', 'T'};
-  static constexpr uint32_t kFormatVersion = 10;
+  static constexpr uint32_t kFormatVersion = 11;
 
   /// Serializes `system` to `path` atomically (temp file + rename).
   /// FailedPrecondition when a background refresh is in flight — quiesce

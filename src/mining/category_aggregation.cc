@@ -111,9 +111,8 @@ size_t TokenSetHash::operator()(const std::vector<uint32_t>& tokens) const {
 // O(qualifying pairs)).
 std::vector<ComboCandidate> AggregateRound(
     const std::vector<ComboCandidate>& combos, TokenSetTable* seen,
-    const CategoryFunctionOptions& options, ThreadPool* workers) {
+    size_t min_support, double overlap, ThreadPool* workers) {
   const size_t n = combos.size();
-  const double threshold = options.aggregation_overlap;
   const Postings by_member = BuildPostings(combos, &ComboCandidate::members);
   const Postings by_token = BuildPostings(combos, &ComboCandidate::tokens);
   const size_t num_shards = DeterministicShardCount(n);
@@ -143,8 +142,8 @@ std::vector<ComboCandidate> AggregateRound(
         // Entity-based aggregation: members overlap > 90% => the union
         // of relations describes a finer shared category.
         if (OverlapExceeds(member_overlap, ci.members.size(),
-                           cj.members.size(), threshold)) {
-          if (member_overlap > 0 && member_overlap >= options.min_support) {
+                           cj.members.size(), overlap)) {
+          if (member_overlap > 0 && member_overlap >= min_support) {
             UnionInto(ci.tokens, cj.tokens, &tokens);
             if (fresh()) {
               local.push_back(ComboCandidate{tokens, {}});
@@ -157,7 +156,7 @@ std::vector<ComboCandidate> AggregateRound(
         // more general category over the member union.
         if (token_overlap > 0 &&
             OverlapExceeds(token_overlap, ci.tokens.size(), cj.tokens.size(),
-                           threshold)) {
+                           overlap)) {
           IntersectionInto(ci.tokens, cj.tokens, &tokens);
           if (fresh()) {
             local.push_back(ComboCandidate{tokens, {}});

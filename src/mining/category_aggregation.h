@@ -7,10 +7,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "mining/category_function.h"
 #include "util/containers.h"
 
 namespace anot {
+
+class ThreadPool;
+
 namespace internal {
 
 /// A relation-token combination and the entities exhibiting it.
@@ -31,7 +33,7 @@ using TokenSetTable = dense_set<std::vector<uint32_t>, TokenSetHash>;
 /// One entity-/relation-based aggregation round over the frozen `combos`.
 ///
 /// For every pair i < j, in ascending (i, j) order: when the member sets
-/// overlap by more than `aggregation_overlap` of the smaller one, the pair
+/// overlap by more than `overlap` of the smaller one, the pair
 /// proposes (tokens_i ∪ tokens_j, members_i ∩ members_j) if that keeps at
 /// least `min_support` members, and the relation test is skipped;
 /// otherwise, when the token sets overlap by more than the same fraction,
@@ -42,7 +44,7 @@ using TokenSetTable = dense_set<std::vector<uint32_t>, TokenSetHash>;
 /// size including nullptr.
 std::vector<ComboCandidate> AggregateRound(
     const std::vector<ComboCandidate>& combos, TokenSetTable* seen,
-    const CategoryFunctionOptions& options, ThreadPool* workers);
+    size_t min_support, double overlap, ThreadPool* workers);
 
 }  // namespace internal
 }  // namespace anot

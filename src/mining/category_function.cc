@@ -26,6 +26,8 @@ constexpr size_t kMaxCombinationSize = 3;
 constexpr size_t kMaxAggregationCandidates = 800;
 /// Safety cap on the total number of categories kept.
 constexpr size_t kMaxCategories = 50000;
+/// Overlap ratio triggering entity-/relation-based aggregation (paper: 0.9).
+constexpr double kAggregationOverlap = 0.9;
 
 }  // namespace
 
@@ -92,7 +94,8 @@ CategoryFunction CategoryFunction::Build(
   for (size_t round = 0;
        round < options.max_aggregation_rounds && !cancelled(); ++round) {
     std::vector<ComboCandidate> added =
-        AggregateRound(combos, &seen, options, workers);
+        AggregateRound(combos, &seen, options.min_support,
+                       kAggregationOverlap, workers);
     if (added.empty()) break;
     for (auto& c : added) combos.push_back(std::move(c));
     if (combos.size() > 4 * kMaxAggregationCandidates) break;

@@ -22,8 +22,6 @@ struct CategoryFunctionOptions {
   size_t max_categories_per_entity = 3;
   /// Minimum entities sharing a relation combination for it to count.
   size_t min_support = 3;
-  /// Overlap ratio triggering entity-/relation-based aggregation (paper: 0.9).
-  double aggregation_overlap = 0.9;
   /// Fixpoint-loop cap for the aggregation passes; 0 skips aggregation
   /// (the Table 3 "-category aggregation" ablation).
   size_t max_aggregation_rounds = 4;
@@ -33,7 +31,6 @@ struct CategoryFunctionOptions {
   void Fields(V& v) {
     v(max_categories_per_entity);
     v(min_support);
-    v(aggregation_overlap);
     v(max_aggregation_rounds);
   }
 };

@@ -50,12 +50,6 @@ inline float Sigmoid(float x) {
   return z / (1.0f + z);
 }
 
-inline float Dot(const float* a, const float* b, size_t dim) {
-  float acc = 0;
-  for (size_t i = 0; i < dim; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
 /// \brief Two-layer MLP with tanh hidden units and AdaGrad training
 /// (used by the TADDY-lite baseline).
 class Mlp {

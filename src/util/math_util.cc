@@ -1,6 +1,5 @@
 #include "util/math_util.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace anot {
@@ -35,31 +34,6 @@ double Log2Binomial(double a, double b) {
 double PrefixCodeBits(double count, double total) {
   if (count <= 0.0 || total <= 0.0 || count >= total) return 0.0;
   return -std::log2(count / total);
-}
-
-double UniversalIntBits(uint64_t n) {
-  // Rissanen's L_N(n) ~ log2*(n) + log2(c0); we use the common truncation
-  // log2(n+1) + 2*log2(log2(n+2)) + 1 which is monotone and >= 1.
-  double x = static_cast<double>(n);
-  return std::log2(x + 1.0) + 2.0 * std::log2(std::log2(x + 2.0)) + 1.0;
-}
-
-double EntropyBits(const std::vector<double>& counts) {
-  double total = 0.0;
-  for (double c : counts) total += std::max(c, 0.0);
-  if (total <= 0.0) return 0.0;
-  double h = 0.0;
-  for (double c : counts) {
-    if (c <= 0.0) continue;
-    double p = c / total;
-    h -= p * std::log2(p);
-  }
-  return h;
-}
-
-double Log2Add(double a, double b) {
-  if (a < b) std::swap(a, b);
-  return a + std::log2(1.0 + std::exp2(b - a));
 }
 
 }  // namespace anot

@@ -1,14 +1,11 @@
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 namespace anot {
 
 /// MDL encoding-cost primitives (all costs are in bits, i.e. log base 2).
 /// These follow the standard two-part MDL toolkit used by KGist-style
-/// summarizers: binomial codes for "choose B of A", optimal prefix codes
-/// for categorical draws, and the Elias-style universal integer code.
+/// summarizers: binomial codes for "choose B of A" and optimal prefix
+/// codes for categorical draws.
 
 /// log2(x) guarded for x <= 0 (returns 0, used for empty-set costs).
 double Log2(double x);
@@ -23,15 +20,5 @@ double Log2Binomial(double a, double b);
 /// Optimal prefix-code length -log2(count / total) for a symbol seen
 /// `count` times out of `total`. Returns 0 for degenerate inputs.
 double PrefixCodeBits(double count, double total);
-
-/// Elias-gamma-flavoured universal code length for a non-negative integer;
-/// L_N(0) is defined as 1 bit.
-double UniversalIntBits(uint64_t n);
-
-/// Shannon entropy (bits) of a histogram of non-negative counts.
-double EntropyBits(const std::vector<double>& counts);
-
-/// Numerically stable log2(2^a + 2^b).
-double Log2Add(double a, double b);
 
 }  // namespace anot

@@ -41,11 +41,6 @@ class ANOT_NODISCARD Result {
     return std::move(*value_);
   }
 
-  /// Returns the value, or `fallback` when errored.
-  T ValueOr(T fallback) const {
-    return ok() ? *value_ : std::move(fallback);
-  }
-
  private:
   Status status_;
   std::optional<T> value_;

@@ -1,6 +1,5 @@
 #include "util/string_util.h"
 
-#include <cctype>
 #include <cstdio>
 
 namespace anot {
@@ -25,23 +24,6 @@ std::string Join(const std::vector<std::string>& parts,
     out.append(parts[i]);
   }
   return out;
-}
-
-std::string Trim(std::string_view s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return std::string(s.substr(b, e - b));
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 std::string StrFormat(const char* fmt, ...) {

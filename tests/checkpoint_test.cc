@@ -357,8 +357,8 @@ TEST_F(CheckpointFixture, SaveDuringInFlightRefreshIsFailedPrecondition) {
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.message();
   EXPECT_FALSE(std::filesystem::exists(path));
 
-  // After quiescing, saving works and the checkpoint loads.
-  system.FinishRefresh();
+  // After the swap, saving works and the checkpoint loads.
+  ASSERT_TRUE(system.FinishRefresh());
   ASSERT_TRUE(system.SaveCheckpoint(path).ok());
   Result<AnoT> loaded = AnoT::LoadCheckpoint(path);
   std::filesystem::remove(path);

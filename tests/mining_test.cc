@@ -583,7 +583,7 @@ std::vector<uint32_t> IntersectionOf(const std::vector<uint32_t>& a,
 /// the exact token set.
 std::vector<ComboCandidate> PairwiseAggregateRound(
     const std::vector<ComboCandidate>& combos, TokenSets* seen,
-    const CategoryFunctionOptions& options) {
+    size_t min_support, double overlap) {
   std::vector<ComboCandidate> added;
   const size_t n = combos.size();
   for (size_t i = 0; i < n; ++i) {
@@ -596,12 +596,12 @@ std::vector<ComboCandidate> PairwiseAggregateRound(
       if (member_min > 0 &&
           static_cast<double>(member_overlap) /
                   static_cast<double>(member_min) >
-              options.aggregation_overlap) {
+              overlap) {
         ComboCandidate merged;
         merged.tokens = UnionOf(ci.tokens, cj.tokens);
         merged.members = IntersectionOf(ci.members, cj.members);
         if (!merged.members.empty() &&
-            merged.members.size() >= options.min_support &&
+            merged.members.size() >= min_support &&
             seen->insert(merged.tokens).second) {
           added.push_back(std::move(merged));
         }
@@ -611,9 +611,8 @@ std::vector<ComboCandidate> PairwiseAggregateRound(
           IntersectionOf(ci.tokens, cj.tokens).size();
       const size_t token_min = std::min(ci.tokens.size(), cj.tokens.size());
       if (token_min > 0 &&
-          static_cast<double>(token_overlap) /
-                  static_cast<double>(token_min) >
-              options.aggregation_overlap) {
+          static_cast<double>(token_overlap) / static_cast<double>(token_min) >
+              overlap) {
         ComboCandidate merged;
         merged.tokens = IntersectionOf(ci.tokens, cj.tokens);
         if (merged.tokens.empty()) continue;
@@ -702,16 +701,15 @@ TEST(AggregateRoundTest, MatchesPairwiseScan) {
     for (const auto& c : combos) initial.insert(c.tokens);
     for (double t : {0.5, 0.9, 1.0, -0.1}) {
       for (size_t min_support : {1u, 3u}) {
-        CategoryFunctionOptions opts;
-        opts.aggregation_overlap = t;
-        opts.min_support = min_support;
         TokenSets want_seen = initial;
-        const auto want = PairwiseAggregateRound(combos, &want_seen, opts);
+        const auto want =
+            PairwiseAggregateRound(combos, &want_seen, min_support, t);
         for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr),
                                     &pool2, &pool8}) {
           TokenSetTable got_seen;
           for (const auto& tokens : initial) got_seen.insert(tokens);
-          const auto got = AggregateRound(combos, &got_seen, opts, workers);
+          const auto got =
+              AggregateRound(combos, &got_seen, min_support, t, workers);
           const size_t threads =
               workers == nullptr ? 0 : workers->num_threads();
           EXPECT_TRUE(SameCombos(want, got))
@@ -734,12 +732,9 @@ TEST(AggregateRoundTest, OverlapAtThresholdDoesNotQualify) {
       {{1}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
       {{2}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 10}},
   };
-  CategoryFunctionOptions opts;
-  opts.aggregation_overlap = 0.9;
   TokenSetTable seen;
-  EXPECT_TRUE(AggregateRound(combos, &seen, opts, nullptr).empty());
-  opts.aggregation_overlap = 0.85;
-  const auto merged = AggregateRound(combos, &seen, opts, nullptr);
+  EXPECT_TRUE(AggregateRound(combos, &seen, 3, 0.9, nullptr).empty());
+  const auto merged = AggregateRound(combos, &seen, 3, 0.85, nullptr);
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(merged[0].tokens, (std::vector<uint32_t>{1, 2}));
   EXPECT_EQ(merged[0].members.size(), 9u);
@@ -759,10 +754,8 @@ TEST(AggregateRoundTest, DistinctTokenSetsThatHashAlikeAreBothAdmitted) {
       {{b[0]}, {3, 4, 5}},
       {{b[1], b[2]}, {3, 4, 5}},
   };
-  CategoryFunctionOptions opts;
-  opts.min_support = 3;
   TokenSetTable seen;
-  const auto added = AggregateRound(combos, &seen, opts, nullptr);
+  const auto added = AggregateRound(combos, &seen, 3, 0.9, nullptr);
   ASSERT_EQ(added.size(), 2u);
   EXPECT_EQ(added[0].tokens, a);
   EXPECT_EQ(added[1].tokens, b);

@@ -1,5 +1,7 @@
 // Equivalence harness for the asynchronous double-buffered refresh: pins
 // the determinism contract of AnoT::RefreshAsync as a tested property —
+// FinishRefresh() is the only swap point, so every arrival before it is
+// scored against the old structures however early the build finishes, and
 // the post-swap state (scores, rule graph, build report, monitor
 // counters, refresh_count) is bit-identical to a synchronous Refresh() at
 // the snapshot point followed by IngestValid of the facts ingested since
@@ -11,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,6 +26,7 @@
 #include "datagen/generator.h"
 #include "serving_test_util.h"
 #include "tkg/split.h"
+#include "util/timer.h"
 
 namespace anot {
 namespace {
@@ -67,14 +73,13 @@ void ProcessAll(AnoT* system, const std::vector<Fact>& facts,
 /// into prefix / window / probes, plus the two sequential references.
 ///
 ///   prefix  — processed before the snapshot (identical in every run)
-///   window  — processed between RefreshAsync() and the swap: scored
-///             against the old structures, logged for replay
-///             (the last window fact's commit performs the swap)
+///   window  — processed between RefreshAsync() and FinishRefresh():
+///             scored against the old structures, logged for replay
 ///   probes  — processed after the swap: scored against the new state
 class RefreshAsyncFixture : public ::testing::Test {
  protected:
   static constexpr size_t kPrefix = 80;
-  static constexpr size_t kWindow = 30;  // includes the swap-commit fact
+  static constexpr size_t kWindow = 30;
   static constexpr size_t kProbes = 20;
 
   static void SetUpTestSuite() {
@@ -155,9 +160,9 @@ class RefreshAsyncFixture : public ::testing::Test {
   }
 
   /// The expected post-swap monitor: reset to the post-refresh report's
-  /// budget and universes, then fed the window observations (recorded from old-structure
-  /// scores) and the probe observations (new-structure scores), exactly
-  /// as ProcessArrival observed them.
+  /// budget and universes, then fed the window observations (recorded
+  /// from old-structure scores) and the probe observations (new-structure
+  /// scores), exactly as ProcessArrival observed them.
   static Monitor ExpectedMonitor() {
     Monitor expected(ref_->report());
     for (size_t i = 0; i < window_->size(); ++i) {
@@ -204,35 +209,17 @@ TEST_F(RefreshAsyncFixture, PostSwapStateBitIdenticalToSyncRefreshPlusReplay) {
     AnoT system = AnoT::Build(*train_, RefreshOptions(threads));
     std::vector<Scores> prefix_scores;
     ProcessAll(&system, *prefix_, &prefix_scores);
-    ASSERT_FALSE(system.refresh_in_flight());
     system.RefreshAsync();
-    ASSERT_TRUE(system.refresh_in_flight());
 
-    // Window minus the swap-commit fact: served against the old
-    // structures while the build runs. The build (a full offline
-    // pipeline, >100ms) cannot finish within these ~30 in-process
-    // arrivals (~ms); the assert below would catch it if it ever did.
+    // The window is served against the old structures while the build
+    // runs; the swap waits for FinishRefresh() after its last arrival.
     std::vector<Scores> window_scores;
-    std::vector<Fact> pre_swap(window_->begin(), window_->end() - 1);
-    ProcessAll(&system, pre_swap, &window_scores);
-    ASSERT_TRUE(system.refresh_in_flight())
-        << "build finished mid-window; widen the build/serve margin";
-
-    // Deterministic swap point: wait for the staged build, then let the
-    // last window fact's commit perform the swap; the probes are scored
-    // against the swapped-in structures.
-    system.WaitForRefreshReady();
-    ASSERT_TRUE(system.RefreshReady());
-    std::vector<Fact> tail;
-    tail.push_back(window_->back());
-    tail.insert(tail.end(), probes_->begin(), probes_->end());
-    std::vector<Scores> tail_scores;
-    ProcessAll(&system, tail, &tail_scores);
-    window_scores.push_back(tail_scores.front());
-    std::vector<Scores> probe_scores(tail_scores.begin() + 1,
-                                     tail_scores.end());
-    ASSERT_FALSE(system.refresh_in_flight());
+    ProcessAll(&system, *window_, &window_scores);
+    EXPECT_EQ(system.refresh_count(), 0u);
+    ASSERT_TRUE(system.FinishRefresh());
     EXPECT_EQ(system.refresh_count(), 1u);
+    std::vector<Scores> probe_scores;
+    ProcessAll(&system, *probes_, &probe_scores);
 
     // Window scores: the old structures, bit for bit.
     ASSERT_EQ(window_scores.size(), ref_window_scores_->size());
@@ -258,10 +245,37 @@ TEST_F(RefreshAsyncFixture, PostSwapStateBitIdenticalToSyncRefreshPlusReplay) {
     EXPECT_EQ(system.monitor().online_negative_bits(),
               expected.online_negative_bits());
     EXPECT_EQ(system.monitor().ShouldRefresh(), expected.ShouldRefresh());
-    // The swap is a commit boundary: the adopted structures plus the
-    // replayed ingest window must be structurally coherent.
+    // The adopted structures plus the replayed ingest window must be
+    // structurally coherent.
     ValidateAtCommitBoundary(system);
   }
+}
+
+TEST_F(RefreshAsyncFixture, FinishedBuildWaitsForFinishRefresh) {
+  // A build that finishes long before FinishRefresh() must not be swapped
+  // in by the arrivals served meanwhile. Three times a synchronous
+  // rebuild's wall time lets the background build finish first; a build
+  // that is still running when the window ends must not swap either, so
+  // a slow machine cannot fail this case.
+  double sync_seconds = 0.0;
+  {
+    AnoT timed = AnoT::Build(*train_, RefreshOptions(1));
+    for (const Fact& f : *prefix_) timed.ProcessArrival(f);
+    WallTimer timer;
+    timed.Refresh();
+    sync_seconds = timer.ElapsedSeconds();
+  }
+  AnoT system = AnoT::Build(*train_, RefreshOptions(1));
+  for (const Fact& f : *prefix_) system.ProcessArrival(f);
+  system.RefreshAsync();
+  std::this_thread::sleep_for(std::chrono::duration<double>(3 * sync_seconds));
+  for (size_t i = 0; i < window_->size(); ++i) {
+    ExpectScoresIdentical((*ref_window_scores_)[i],
+                          system.ProcessArrival((*window_)[i]), i);
+    ASSERT_EQ(system.refresh_count(), 0u) << "swapped after arrival " << i;
+  }
+  ASSERT_TRUE(system.FinishRefresh());
+  EXPECT_EQ(system.refresh_count(), 1u);
 }
 
 // -------------------------------------------------- lifecycle edge cases
@@ -274,14 +288,13 @@ TEST_F(RefreshAsyncFixture, EmptyWindowSwapEqualsSynchronousRefresh) {
     sync.ProcessArrival(f);
   }
   async.RefreshAsync();
-  EXPECT_TRUE(async.refresh_in_flight());
   EXPECT_TRUE(async.FinishRefresh());
   sync.Refresh();
   ValidateAtCommitBoundary(async);
   ValidateAtCommitBoundary(sync);
 
   EXPECT_EQ(async.refresh_count(), 1u);
-  EXPECT_FALSE(async.refresh_in_flight());
+  EXPECT_FALSE(async.FinishRefresh()) << "the swap consumed the build";
   EXPECT_EQ(async.rules().ToString(), sync.rules().ToString());
   EXPECT_EQ(async.graph().num_facts(), sync.graph().num_facts());
   EXPECT_EQ(async.report().negative_bits, sync.report().negative_bits);
@@ -293,7 +306,6 @@ TEST_F(RefreshAsyncFixture, RequestsCoalesceWhileInFlight) {
   AnoT system = AnoT::Build(*train_, RefreshOptions(1));
   system.RefreshAsync();
   system.RefreshAsync();  // coalesced: still the same in-flight build
-  EXPECT_TRUE(system.refresh_in_flight());
   EXPECT_TRUE(system.FinishRefresh());
   EXPECT_EQ(system.refresh_count(), 1u);
   EXPECT_FALSE(system.FinishRefresh()) << "nothing left in flight";
@@ -308,7 +320,7 @@ TEST_F(RefreshAsyncFixture, SynchronousRefreshAbandonsInFlightBuild) {
   system.RefreshAsync();
   system.Refresh();  // cancels the background build, rebuilds inline
   reference.Refresh();
-  EXPECT_FALSE(system.refresh_in_flight());
+  EXPECT_FALSE(system.FinishRefresh()) << "the abandoned build cannot swap";
   EXPECT_EQ(system.refresh_count(), 1u);
   EXPECT_EQ(system.rules().ToString(), reference.rules().ToString());
 }
@@ -322,7 +334,6 @@ TEST_F(RefreshAsyncFixture, DestructorAndMoveHandleInFlightBuild) {
   AnoT original = AnoT::Build(*train_, RefreshOptions(1));
   original.RefreshAsync();
   AnoT moved = std::move(original);  // background state survives the move
-  EXPECT_TRUE(moved.refresh_in_flight());
   EXPECT_TRUE(moved.FinishRefresh());
   EXPECT_EQ(moved.refresh_count(), 1u);
   const Fact& probe = probes_->front();
@@ -331,16 +342,15 @@ TEST_F(RefreshAsyncFixture, DestructorAndMoveHandleInFlightBuild) {
 
 // ------------------------------------- monitor-driven background refresh
 
-TEST_F(RefreshAsyncFixture, MonitorDrivenRefreshAsyncKeepsServing) {
-  // The caller-driven loop: after each arrival, a monitor that fires
-  // starts a background build (requests coalesce while one is in flight).
-  AnoT system = AnoT::Build(*train_, RefreshOptions(2));
-
+TEST_F(RefreshAsyncFixture, CallerDrivenLagLoopIdenticalAcrossThreadCounts) {
+  // The caller-driven loop from anot.h: a monitor that fires starts a
+  // background build, and FinishRefresh() swaps it in kLag arrivals
+  // later. Every output then depends on the arrival sequence alone.
+  //
   // Real facts, then a garbage flood, 80 arrivals per tick, whose
   // unexplained cost passes the training L(N_G) (Eq. 11; about 3.2k bits
   // in this world, passed after about 250 flood arrivals), then more real
-  // facts served while the build runs. Every arrival gets a score without
-  // waiting for the rebuild.
+  // facts served after the swap.
   std::vector<Fact> stream = *prefix_;
   const EntityId base = static_cast<EntityId>(graph_->num_entities());
   const Timestamp t0 = graph_->max_time() + 1;
@@ -349,22 +359,47 @@ TEST_F(RefreshAsyncFixture, MonitorDrivenRefreshAsyncKeepsServing) {
     stream.push_back(Fact(base + i, 0, base + i + 1, t0 + i / 80));
   }
   stream.insert(stream.end(), window_->begin(), window_->end());
+  constexpr size_t kLag = 16;
 
-  std::vector<Scores> scores;
-  bool launched = false;
-  for (const Fact& f : stream) {
-    scores.push_back(system.ProcessArrival(f));
-    if (system.monitor().ShouldRefresh()) {
-      system.RefreshAsync();
-      launched = true;
+  struct Run {
+    std::vector<Scores> scores;
+    std::string rules;
+    size_t refresh_count = 0;
+  };
+  std::vector<Run> runs;
+  const std::vector<size_t> thread_counts = ThreadCountsUnderTest({1, 4});
+  for (size_t threads : thread_counts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    AnoT system = AnoT::Build(*train_, RefreshOptions(threads));
+    Run run;
+    size_t lag = 0;
+    size_t first_swap = stream.size();
+    for (size_t i = 0; i < stream.size(); ++i) {
+      run.scores.push_back(system.ProcessArrival(stream[i]));
+      if (lag == 0 && system.monitor().ShouldRefresh()) {
+        system.RefreshAsync();
+        lag = kLag;
+      } else if (lag > 0 && --lag == 0) {
+        ASSERT_TRUE(system.FinishRefresh());
+        first_swap = std::min(first_swap, i);
+      }
     }
+    // Vacuity guard: a swap must land with arrivals left to score after it.
+    ASSERT_LT(first_swap + 1, stream.size()) << "monitor never fired";
+    ValidateAtCommitBoundary(system);
+    run.rules = system.rules().ToString();
+    run.refresh_count = system.refresh_count();
+    runs.push_back(std::move(run));
   }
-  EXPECT_EQ(scores.size(), stream.size());
-  ASSERT_TRUE(launched) << "monitor never fired: case is vacuous";
-  system.FinishRefresh();
-  EXPECT_GT(system.refresh_count(), 0u);
-  EXPECT_FALSE(system.refresh_in_flight());
-  (void)system.Score(probes_->front());  // functional after the swap
+  for (size_t r = 1; r < runs.size(); ++r) {
+    SCOPED_TRACE("threads=" + std::to_string(thread_counts[r]));
+    ASSERT_EQ(runs[r].scores.size(), runs[0].scores.size());
+    for (size_t i = 0; i < runs[0].scores.size(); ++i) {
+      ExpectScoresIdentical(runs[0].scores[i], runs[r].scores[i], i);
+    }
+    EXPECT_EQ(runs[r].rules, runs[0].rules);
+    EXPECT_EQ(runs[r].refresh_count, runs[0].refresh_count);
+  }
 }
 
 }  // namespace

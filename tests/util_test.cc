@@ -103,14 +103,12 @@ TEST(ResultTest, HoldsValue) {
   Result<int> r(42);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), 42);
-  EXPECT_EQ(r.ValueOr(-1), 42);
 }
 
 TEST(ResultTest, HoldsError) {
   Result<int> r(Status::NotFound("nope"));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(r.ValueOr(-1), -1);
 }
 
 TEST(ResultTest, MoveValueTransfersOwnership) {
@@ -255,28 +253,6 @@ TEST(MathTest, PrefixCodeBits) {
   EXPECT_DOUBLE_EQ(PrefixCodeBits(8, 8), 0.0);
 }
 
-TEST(MathTest, UniversalIntBitsMonotone) {
-  double prev = UniversalIntBits(0);
-  EXPECT_GE(prev, 1.0);
-  for (uint64_t n : {1ull, 2ull, 10ull, 100ull, 10000ull}) {
-    double bits = UniversalIntBits(n);
-    EXPECT_GT(bits, prev);
-    prev = bits;
-  }
-}
-
-TEST(MathTest, EntropyBits) {
-  EXPECT_DOUBLE_EQ(EntropyBits({1, 1}), 1.0);
-  EXPECT_DOUBLE_EQ(EntropyBits({4}), 0.0);
-  EXPECT_DOUBLE_EQ(EntropyBits({}), 0.0);
-  EXPECT_NEAR(EntropyBits({1, 1, 1, 1}), 2.0, 1e-12);
-}
-
-TEST(MathTest, Log2AddCommutes) {
-  EXPECT_NEAR(Log2Add(3, 3), 4.0, 1e-12);
-  EXPECT_NEAR(Log2Add(10, 0), Log2Add(0, 10), 1e-12);
-}
-
 // ------------------------------------------------------------ string_util
 
 TEST(StringTest, SplitKeepsEmptyFields) {
@@ -297,20 +273,6 @@ TEST(StringTest, JoinRoundTrip) {
   std::vector<std::string> v{"x", "y", "z"};
   EXPECT_EQ(Join(v, ", "), "x, y, z");
   EXPECT_EQ(Join({}, ","), "");
-}
-
-TEST(StringTest, Trim) {
-  EXPECT_EQ(Trim("  hi \t\n"), "hi");
-  EXPECT_EQ(Trim(""), "");
-  EXPECT_EQ(Trim("   "), "");
-  EXPECT_EQ(Trim("x"), "x");
-}
-
-TEST(StringTest, StartsEndsWith) {
-  EXPECT_TRUE(StartsWith("icews14", "ice"));
-  EXPECT_FALSE(StartsWith("ice", "icews"));
-  EXPECT_TRUE(EndsWith("table2.tsv", ".tsv"));
-  EXPECT_FALSE(EndsWith("a", "ab"));
 }
 
 TEST(StringTest, StrFormat) {

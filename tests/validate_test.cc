@@ -131,7 +131,7 @@ TEST(SystemValidateTest, LiveRunStaysCoherentAtCommitBoundaries) {
     }
     if (arrivals == 240) system.RefreshAsync();
   }
-  system.FinishRefresh();
+  EXPECT_TRUE(system.FinishRefresh());
   system.CheckInvariants();
   EXPECT_GT(system.graph().num_facts(), train->num_facts());
 }
