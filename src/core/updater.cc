@@ -35,41 +35,83 @@ bool Updater::ShouldAdmitRule(uint32_t online_support) const {
 }
 
 uint32_t Updater::TouchPendingRule(const AtomicRule& rule) {
-  auto it = pending_rules_.find(rule);
-  if (it != pending_rules_.end()) {
-    pending_lru_.splice(pending_lru_.begin(), pending_lru_, it->second.lru);
-    return ++it->second.support;
+  auto [it, inserted] = pending_index_.try_emplace(rule, kNil);
+  if (!inserted) {
+    const uint32_t i = it->second;
+    if (i != pending_head_) {
+      UnlinkPending(i);
+      PushPendingFront(i);
+    }
+    return ++pending_nodes_[i].support;
   }
-  if (pending_rules_.size() >= kMaxPendingRules) {
-    const AtomicRule& coldest = pending_lru_.back();
-    pending_rules_.erase(coldest);
-    pending_lru_.pop_back();
+  // A new pattern takes the coldest node when the table is full, else a
+  // freed node, else a new one.
+  uint32_t i = kNil;
+  const bool evict = pending_index_.size() > kMaxPendingRules;
+  if (evict) {
+    i = pending_tail_;
+    UnlinkPending(i);
+    ++pending_evictions_;
+  } else if (pending_free_ != kNil) {
+    i = pending_free_;
+    pending_free_ = pending_nodes_[i].next;
+  } else {
+    i = static_cast<uint32_t>(pending_nodes_.size());
+    pending_nodes_.emplace_back();
   }
-  pending_lru_.push_front(rule);
-  pending_rules_.emplace(rule, PendingRule{1, pending_lru_.begin()});
+  it->second = i;
+  // Erasing moves index slots, so it comes after the last use of `it`.
+  if (evict) pending_index_.erase(pending_nodes_[i].rule);
+  pending_nodes_[i].rule = rule;
+  pending_nodes_[i].support = 1;
+  PushPendingFront(i);
   return 1;
 }
 
 void Updater::ErasePendingRule(const AtomicRule& rule) {
-  auto it = pending_rules_.find(rule);
-  if (it == pending_rules_.end()) return;
-  pending_lru_.erase(it->second.lru);
-  pending_rules_.erase(rule);
+  auto it = pending_index_.find(rule);
+  if (it == pending_index_.end()) return;
+  const uint32_t i = it->second;
+  pending_index_.erase(rule);
+  UnlinkPending(i);
+  pending_nodes_[i].next = pending_free_;
+  pending_free_ = i;
+}
+
+void Updater::UnlinkPending(uint32_t i) {
+  const PendingNode& n = pending_nodes_[i];
+  (n.prev == kNil ? pending_head_ : pending_nodes_[n.prev].next) = n.next;
+  (n.next == kNil ? pending_tail_ : pending_nodes_[n.next].prev) = n.prev;
+}
+
+void Updater::PushPendingFront(uint32_t i) {
+  PendingNode& n = pending_nodes_[i];
+  n.prev = kNil;
+  n.next = pending_head_;
+  (pending_head_ == kNil ? pending_tail_
+                         : pending_nodes_[pending_head_].prev) = i;
+  pending_head_ = i;
 }
 
 Status Updater::Validate() const {
-  if (pending_rules_.size() > kMaxPendingRules) {
+  if (pending_index_.size() > kMaxPendingRules) {
     return Status::Internal("pending table exceeds its cap");
   }
-  for (const auto& [rule, entry] : pending_rules_) {
+  for (uint32_t i = pending_head_; i != kNil; i = pending_nodes_[i].next) {
+    const PendingNode& entry = pending_nodes_[i];
     if (entry.support < 1) {
       return Status::Internal("pending rule with zero support");
     }
-    ANOT_RETURN_NOT_OK(rule.ValidateIds(categories_->num_categories(),
-                                        graph_->num_relations()));
-    if (rules_->FindRule(rule).has_value()) {
-      return Status::Internal(
-          "rule is both pending and admitted to the rule graph");
+    ANOT_RETURN_NOT_OK(entry.rule.ValidateIds(categories_->num_categories(),
+                                              graph_->num_relations()));
+  }
+  // "Pending or admitted, never both": one index probe per rule.
+  if (!pending_index_.empty()) {
+    for (RuleId id = 0; id < rules_->num_rules(); ++id) {
+      if (pending_index_.contains(rules_->rule(id))) {
+        return Status::Internal(
+            "rule is both pending and admitted to the rule graph");
+      }
     }
   }
   return Status::OK();
@@ -77,17 +119,34 @@ Status Updater::Validate() const {
 
 void Updater::CheckInvariants() const {
 #ifdef ANOT_VALIDATE
-  ANOT_CHECK_OK(Validate());
-  ANOT_CHECK(pending_rules_.size() == pending_lru_.size())
-      << "pending table (" << pending_rules_.size() << ") and LRU list ("
-      << pending_lru_.size() << ") diverged";
-  for (auto it = pending_lru_.begin(); it != pending_lru_.end(); ++it) {
-    auto entry = pending_rules_.find(*it);
-    ANOT_CHECK(entry != pending_rules_.end())
-        << "LRU node missing from the pending table";
-    ANOT_CHECK(entry->second.lru == it)
-        << "pending entry's LRU iterator does not round-trip";
+  // The structure first: Validate() walks the list and needs it sound.
+  const size_t num_nodes = pending_nodes_.size();
+  size_t linked = 0;
+  uint32_t prev = kNil;
+  for (uint32_t i = pending_head_; i != kNil; i = pending_nodes_[i].next) {
+    ANOT_CHECK(i < num_nodes && linked < num_nodes)
+        << "pending LRU list leaves its nodes or cycles";
+    const PendingNode& node = pending_nodes_[i];
+    ANOT_CHECK(node.prev == prev) << "pending LRU links are not mutual";
+    auto entry = pending_index_.find(node.rule);
+    ANOT_CHECK(entry != pending_index_.end() && entry->second == i)
+        << "pending LRU node is not indexed at its slot";
+    prev = i;
+    ++linked;
   }
+  ANOT_CHECK(prev == pending_tail_) << "pending LRU list ends off its tail";
+  ANOT_CHECK(linked == pending_index_.size())
+      << "pending index (" << pending_index_.size() << ") and LRU list ("
+      << linked << ") diverged";
+  size_t free_nodes = 0;
+  for (uint32_t i = pending_free_; i != kNil; i = pending_nodes_[i].next) {
+    ANOT_CHECK(i < num_nodes && free_nodes < num_nodes)
+        << "pending free list leaves its nodes or cycles";
+    ++free_nodes;
+  }
+  ANOT_CHECK(linked + free_nodes == num_nodes)
+      << "a pending node is neither linked nor free";
+  ANOT_CHECK_OK(Validate());
 #endif  // ANOT_VALIDATE
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
+#include <vector>
 
 #include "core/options.h"
 #include "core/scorer.h"
@@ -55,7 +55,8 @@ class Updater {
   /// unbounded never-admitted candidates (every unseen (C(s), r, C(o))
   /// combination opens an entry); past the cap the least-recently-touched
   /// candidate is evicted, bounding memory at the cost of forgetting
-  /// support that accrues slower than the eviction horizon.
+  /// support that accrues slower than the eviction horizon. Evictions are
+  /// counted (pending_evictions()), so the truncation is never silent.
   static constexpr size_t kMaxPendingRules = 65536;
 
   Updater(TemporalKnowledgeGraph* graph, CategoryFunction* categories,
@@ -66,7 +67,12 @@ class Updater {
 
   /// Number of patterns currently tracked but not yet admitted. Bounded by
   /// kMaxPendingRules (diagnostics / tests).
-  size_t pending_rule_count() const { return pending_rules_.size(); }
+  size_t pending_rule_count() const { return pending_index_.size(); }
+
+  /// Pending entries this updater evicted to stay within kMaxPendingRules.
+  /// Monotonic over the updater's life and never checkpointed: a restored
+  /// (or refreshed) detector starts counting from 0.
+  uint64_t pending_evictions() const { return pending_evictions_; }
 
   /// Checks the pending-rule table: the cap is respected, and every entry
   /// has support >= 1, names known categories and a known relation, and
@@ -74,15 +80,36 @@ class Updater {
   Status Validate() const;
 
   /// Debug validator (compiled behind ANOT_VALIDATE, no-op otherwise):
-  /// Validate() plus the table/list pairing — same size, and every list
-  /// node is in the table with a stored iterator that round-trips.
+  /// Validate() plus the list structure — the links are mutual, the walk
+  /// from the head visits every indexed node once and ends at the tail,
+  /// each index entry names its node, and the free list holds the rest.
   /// ANOT_CHECK-fails on the first violation.
   void CheckInvariants() const;
 
  private:
   /// The checkpoint codec (io/checkpoint.h) saves the pending table in
-  /// LRU-list order and rebuilds both containers from it at load.
+  /// LRU order and rebuilds the node vector and index from it at load.
   friend class Checkpoint;
+
+  /// End-of-list / empty-free-list marker for PendingNode links.
+  static constexpr uint32_t kNil = 0xFFFFFFFFu;
+
+  /// One pending pattern: its key and online support (the persisted
+  /// fields), and its links in the recency list (or, for a free slot, the
+  /// next free slot in `next`).
+  struct PendingNode {
+    AtomicRule rule;
+    uint32_t support = 0;
+    uint32_t prev = kNil;
+    uint32_t next = kNil;
+
+    /// The persisted field list, in checkpoint order (io/checkpoint.cc).
+    template <class V>
+    void Fields(V& v) {
+      rule.Fields(v);
+      v(support);
+    }
+  };
 
   /// Marginal MDL admission test for a recurring unseen pattern.
   bool ShouldAdmitRule(uint32_t online_support) const;
@@ -92,6 +119,9 @@ class Updater {
   /// table would exceed kMaxPendingRules.
   uint32_t TouchPendingRule(const AtomicRule& rule);
   void ErasePendingRule(const AtomicRule& rule);
+  /// Recency-list splices: unlink node `i`, or link it in at the head.
+  void UnlinkPending(uint32_t i);
+  void PushPendingFront(uint32_t i);
 
   // anot-own: borrowed from the owning AnoT (or a test caller), which
   // heap-holds graph/categories/rules/options so these borrows survive
@@ -102,15 +132,18 @@ class Updater {
   not_null<RuleGraph*> rules_;
   not_null<const DetectorOptions*> detector_options_;
   Scorer scorer_;
-  /// Online support counts of patterns not (yet) in the rule graph, with
-  /// an LRU eviction order (front = most recently touched). Deterministic:
-  /// the updater is serial, so touch order is the ingest order.
-  struct PendingRule {
-    uint32_t support = 0;
-    std::list<AtomicRule>::iterator lru;
-  };
-  dense_map<AtomicRule, PendingRule, AtomicRuleHash> pending_rules_;
-  std::list<AtomicRule> pending_lru_;
+  /// Online support counts of patterns not (yet) in the rule graph, as an
+  /// LRU list linked by index inside one node vector (head = most recently
+  /// touched, tail = next to evict). `pending_index_` maps each pattern to
+  /// its node. An eviction reuses the evicted node in place; an admission
+  /// frees its node onto the free list, which the next new pattern takes.
+  /// Deterministic: the updater is serial, so touch order is ingest order.
+  std::vector<PendingNode> pending_nodes_;
+  dense_map<AtomicRule, uint32_t, AtomicRuleHash> pending_index_;
+  uint32_t pending_head_ = kNil;
+  uint32_t pending_tail_ = kNil;
+  uint32_t pending_free_ = kNil;
+  uint64_t pending_evictions_ = 0;
 };
 
 }  // namespace anot

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <system_error>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -398,47 +400,47 @@ struct Checkpoint::Codec {
 
   // -- section 7: updater pending-rule table --------------------------------
 
-  /// One pending-rule entry: the pattern and its online support.
-  struct PendingRecord {
-    AtomicRule rule;
-    uint32_t support = 0;
-
-    template <class V>
-    void Fields(V& v) {
-      rule.Fields(v);
-      v(support);
-    }
-  };
-
+  /// Writes the pending patterns (rule, support) in LRU order, head (most
+  /// recently touched) first: the only order that matters behaviorally
+  /// (eviction), and a deterministic one, so it is the canonical order.
   static void EncodeUpdater(const AnoT& s, ByteWriter& w) {
     const Updater& u = *s.updater_;
-    w(u.pending_lru_.size());
-    // LRU-list order (front = most recently touched) is the only order
-    // that matters behaviorally (eviction), and it is deterministic, so
-    // it is the canonical serialization order.
-    for (const AtomicRule& rule : u.pending_lru_) {
-      auto it = u.pending_rules_.find(rule);
-      ANOT_CHECK(it != u.pending_rules_.end())
-          << "pending LRU entry missing from the table";
-      w.Put(PendingRecord{rule, it->second.support});
+    w(u.pending_index_.size());
+    for (uint32_t i = u.pending_head_; i != Updater::kNil;
+         i = u.pending_nodes_[i].next) {
+      w.Put(u.pending_nodes_[i]);
     }
   }
 
+  /// Reads the records straight into the node vector in file order, so
+  /// node i links to its neighbours i - 1 and i + 1, node 0 is the head
+  /// and the free list is empty.
   static Status DecodeUpdater(ByteReader& in, AnoT& s) {
-    std::vector<PendingRecord> records(in.Count(16));
-    for (PendingRecord& r : records) in.Get(r);
+    std::vector<Updater::PendingNode> nodes(in.Count(16));
+    for (Updater::PendingNode& node : nodes) in.Get(node);
     ANOT_RETURN_NOT_OK(in.status());
+    // Validate() checks the cap too; here it also keeps every node id
+    // below the u32 link space before any link is written.
+    if (nodes.size() > Updater::kMaxPendingRules) {
+      return Status::InvalidArgument("pending table exceeds its cap");
+    }
 
     s.RecreateServingObjects();
     Updater& u = *s.updater_;
-    for (const PendingRecord& r : records) {
-      u.pending_lru_.push_back(r.rule);
-      const Updater::PendingRule entry{r.support,
-                                       std::prev(u.pending_lru_.end())};
-      if (!u.pending_rules_.emplace(r.rule, entry).second) {
+    const auto n = static_cast<uint32_t>(nodes.size());
+    u.pending_index_.reserve(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      if (!u.pending_index_.try_emplace(nodes[i].rule, i).second) {
         return Status::InvalidArgument("duplicate pending rule");
       }
+      nodes[i].prev = i == 0 ? Updater::kNil : i - 1;
+      nodes[i].next = i + 1 == n ? Updater::kNil : i + 1;
     }
+    if (n != 0) {
+      u.pending_head_ = 0;
+      u.pending_tail_ = n - 1;
+    }
+    u.pending_nodes_ = std::move(nodes);
     return u.Validate();
   }
 
@@ -601,13 +603,21 @@ Status Checkpoint::Save(const AnoT& system, const std::string& path) {
 }
 
 Result<AnoT> Checkpoint::Load(const std::string& path) {
+  // One read into a buffer sized to the file. file_size fails on anything
+  // but a regular file, so a directory, FIFO or pipe never reaches the
+  // read: checkpoints are regular files.
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) {
+    return Status::IoError("checkpoint: cannot open " + path + ": " +
+                           ec.message());
+  }
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Status::IoError("checkpoint: cannot open " + path);
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
+  std::string bytes(static_cast<size_t>(size), '\0');
+  if (!in.read(bytes.data(), static_cast<std::streamsize>(size))) {
     return Status::IoError("checkpoint: read error on " + path);
   }
   AnoT out;

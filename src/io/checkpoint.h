@@ -64,9 +64,10 @@ class Checkpoint {
   /// and its replay logs are not serializable mid-handoff.
   static Status Save(const AnoT& system, const std::string& path);
 
-  /// Deserializes a detector. Every failure mode — missing file, wrong
-  /// magic, foreign format version, truncated or over-long sections,
-  /// corrupt bytes, or state that fails the structural invariants — is a
+  /// Deserializes a detector. Every failure mode — missing file, a path
+  /// that is not a regular file (directory, FIFO, pipe), wrong magic,
+  /// foreign format version, truncated or over-long sections, corrupt
+  /// bytes, or state that fails the structural invariants — is a
   /// descriptive error Status.
   static Result<AnoT> Load(const std::string& path);
 

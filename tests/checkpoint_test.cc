@@ -378,6 +378,24 @@ TEST_F(CheckpointFixture, LoadMissingFileFails) {
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }
 
+// Load sizes its buffer from the file before the one read, so paths whose
+// size is not a byte count, or is zero, must fail before any byte is read.
+TEST_F(CheckpointFixture, LoadDirectoryFailsWithIoError) {
+  const std::string path = TempPath("anot_ckpt_dir");
+  std::filesystem::create_directories(path);
+  Result<AnoT> r = AnoT::LoadCheckpoint(path);
+  std::filesystem::remove(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError) << r.status().message();
+}
+
+TEST_F(CheckpointFixture, LoadEmptyFileIsTooShort) {
+  Result<AnoT> r = LoadFromBytes("", "anot_ckpt_empty.bin");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("too short"), std::string::npos)
+      << r.status().message();
+}
+
 TEST_F(CheckpointFixture, RejectsFileTooShort) {
   Result<AnoT> r =
       LoadFromBytes(good_bytes_->substr(0, 10), "anot_ckpt_short.bin");
@@ -638,6 +656,24 @@ const SectionCorruption kSectionCorruptions[] = {
        WriteU32At(b, payload + 8 + 12, 0);
      },
      "zero support"},
+    {"duplicate pending rule", 7,
+     [](std::string* b, size_t payload, uint64_t) {
+       ASSERT_GT(ReadU64At(*b, payload), 1u) << "fewer than two pending rules";
+       // Entries are 16 bytes: the first entry's rule over the second's.
+       b->replace(payload + 8 + 16, 12, b->substr(payload + 8, 12));
+     },
+     "duplicate pending rule"},
+    {"pending rule also admitted", 7,
+     [](std::string* b, size_t payload, uint64_t) {
+       uint64_t len = 0;
+       const size_t rules = SectionPayloadOffset(*b, 4, &len);
+       ASSERT_GT(ReadU64At(*b, rules), 0u) << "no rules";
+       ASSERT_GT(ReadU64At(*b, payload), 0u) << "no pending rules";
+       // Both tables open with a u64 count and each entry with its rule:
+       // the first rule over the first pending entry's.
+       b->replace(payload + 8, 12, b->substr(rules + 8, 12));
+     },
+     "both pending and admitted"},
 };
 
 TEST_F(CheckpointFixture, RejectsSemanticCorruptionInEverySection) {

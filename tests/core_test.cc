@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <random>
@@ -13,6 +16,7 @@
 #include "core/duration.h"
 #include "core/witness_scan.h"
 #include "datagen/generator.h"
+#include "io/checkpoint.h"
 #include "tkg/split.h"
 
 namespace anot {
@@ -1412,7 +1416,7 @@ TEST_F(CoreFixture, PendingRuleTableStaysBounded) {
   // relation opens |C(s)|·|C(o)| entries and gives both entities a new
   // singleton category, so the table fills after about a thousand
   // arrivals; past that, every arrival must evict as many entries as it
-  // opens.
+  // opens, and the eviction count must show it.
   AnoTOptions options;
   options.detector = TestDetectorOptions();
   AnoT local = AnoT::Build(*train_, options);
@@ -1423,16 +1427,93 @@ TEST_F(CoreFixture, PendingRuleTableStaysBounded) {
   constexpr uint32_t kMaxArrivals = 20000;
   constexpr uint32_t kArrivalsAtCap = 100;
   uint32_t at_cap = 0;
+  uint64_t evictions = 0;
   for (uint32_t i = 0; i < kMaxArrivals && at_cap < kArrivalsAtCap; ++i) {
+    const bool full =
+        local.updater().pending_rule_count() == Updater::kMaxPendingRules;
     const EntityId s = static_cast<EntityId>((2 * i) % 200);
     const EntityId o = static_cast<EntityId>((2 * i + 1) % 200);
     local.IngestValid(Fact(s, base_rel + i, o, t0 + i));
     const size_t pending = local.updater().pending_rule_count();
     ASSERT_LE(pending, Updater::kMaxPendingRules) << "arrival " << i;
+    const uint64_t now = local.updater().pending_evictions();
+    if (full) {
+      EXPECT_GT(now, evictions) << "arrival " << i << " at the cap";
+    } else if (at_cap == 0 && pending < Updater::kMaxPendingRules) {
+      EXPECT_EQ(now, 0u) << "arrival " << i << " below the cap";
+    }
+    evictions = now;
     if (pending == Updater::kMaxPendingRules) ++at_cap;
   }
   EXPECT_EQ(at_cap, kArrivalsAtCap) << "the table never reached its cap";
   EXPECT_EQ(local.updater().pending_rule_count(), Updater::kMaxPendingRules);
+}
+
+// Golden pin of the pending table's touch and eviction order. Fresh
+// relations fill the table and keep it evicting; eleven recurring patterns
+// come back at fixed periods, some well inside the eviction horizon (about
+// 515 arrivals here) and some just beyond it. Whether a recurring pattern
+// reaches admission support depends on which entries each touch keeps and
+// each eviction drops. The checkpoint's rule section holds every admitted
+// rule and its pending section the table in LRU order, so a hash of those
+// two payloads pins both orders and no other state.
+TEST_F(CoreFixture, PendingRuleLruOrderGolden) {
+  AnoTOptions options;
+  options.detector = TestDetectorOptions();
+  AnoT local = AnoT::Build(*train_, options);
+
+  const RelationId base_rel =
+      static_cast<RelationId>(local.graph().num_relations());
+  const Timestamp t0 = local.graph().max_time() + 1;
+  constexpr uint32_t kFreshArrivals = 3000;
+  constexpr uint32_t kPeriods[] = {100, 300, 460, 480, 490, 500,
+                                   510, 520, 530, 540, 600};
+  constexpr uint32_t kRecurring = std::size(kPeriods);
+  const RelationId recurring_rel = base_rel + kFreshArrivals;
+  bool reached_cap = false;
+  uint32_t recurring_admissions = 0;
+  for (uint32_t i = 0; i < kFreshArrivals; ++i) {
+    const EntityId s = static_cast<EntityId>((2 * i) % 200);
+    const EntityId o = static_cast<EntityId>((2 * i + 1) % 200);
+    local.IngestValid(Fact(s, base_rel + i, o, t0 + i));
+    // Recurring pattern k joins entities the fresh stream never touches.
+    for (uint32_t k = 0; k < kRecurring; ++k) {
+      if (i % kPeriods[k] != k) continue;
+      const auto rs = static_cast<EntityId>(200 + 2 * k);
+      recurring_admissions +=
+          local.IngestValid(Fact(rs, recurring_rel + k, rs + 1, t0 + i))
+              .new_rule_nodes;
+    }
+    reached_cap = reached_cap || local.updater().pending_rule_count() ==
+                                     Updater::kMaxPendingRules;
+  }
+  EXPECT_TRUE(reached_cap) << "the table never reached its cap";
+  EXPECT_GT(recurring_admissions, 0u) << "no recurring pattern was admitted";
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "core_test_lru_golden.ckpt")
+          .string();
+  ASSERT_TRUE(local.SaveCheckpoint(path).ok());
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  std::filesystem::remove(path);
+  // Walk the section framing (io/checkpoint.h) and keep the rules (4) and
+  // updater (7) payloads.
+  std::string pinned;
+  for (size_t off = 8 + 4 + 4; off + 12 <= bytes.size();) {
+    uint32_t id = 0;
+    uint64_t len = 0;
+    std::memcpy(&id, bytes.data() + off, sizeof id);
+    std::memcpy(&len, bytes.data() + off + 4, sizeof len);
+    if (id == 4 || id == 7) pinned.append(bytes, off + 12, len);
+    off += 12 + static_cast<size_t>(len);
+  }
+  EXPECT_EQ(Checkpoint::Checksum(pinned.data(), pinned.size()),
+            0x238954bf6fec121dULL);
 }
 
 TEST_F(CoreFixture, UpdaterImprovesScoresOnNewPatterns) {
